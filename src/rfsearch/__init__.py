@@ -4,8 +4,7 @@ Two cooperating search stages over per-layer dilation rates: a genetic
 global search on a sparse power-of-k candidate grid, and an iterative local
 refinement that trains a shared-weight multi-dilated layer and moves each
 dilation to the expectation of its learned branch PMF.  A small float64
-conv engine (numba-accelerated, with a pure-numpy fallback selected by
-``RFSEARCH_NUMBA=0``), synthetic tasks with known receptive-field ground
+conv engine in numpy, synthetic tasks with known receptive-field ground
 truth, and surrogate-fitness oracles make the whole pipeline testable at
 desk scale.
 """
@@ -46,10 +45,8 @@ from .oracle import SurrogateFitness, exhaustive_rank, random_search
 from .tasks import TaskSpec, framewise_accuracy, generate
 from .tensorops import (
     Adam,
-    AdamState,
     ConvKernel,
     TrainingDiverged,
-    adam_step,
     dilated_conv1d_backward,
     dilated_conv1d_forward,
     softmax_nll_loss,

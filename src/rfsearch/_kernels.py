@@ -1,13 +1,7 @@
 """Hot inner loops for batched dilated 1-D convolution.
 
-Two interchangeable backends compute identical quantities:
-
-* a numba ``@njit`` backend (default) compiling the plain loop nests below,
-* a pure-numpy backend built on per-tap slicing and einsum.
-
-Set ``RFSEARCH_NUMBA=0`` in the environment (before import) to force the
-numpy backend; it is also used automatically when numba is unavailable.
-``benchmarks/bench_kernels.py`` times the two against each other.
+Each kernel loops over the taps in Python and does the channel contraction
+of one tap with ``np.einsum`` on the in-range time slice.
 
 Conventions: arrays are float64, layout (batch, channel, time) for sequences
 and (out_channel, in_channel, tap) for weights.  ``offsets[j]`` is the signed
@@ -17,90 +11,17 @@ when producing output frame ``t``.  Out-of-range reads are zero padding.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 __all__ = [
     "backend",
-    "numba_available",
-    "warmup",
     "conv1d_forward",
     "conv1d_grad_input",
     "conv1d_grad_weights",
-    "conv1d_forward_numpy",
-    "conv1d_grad_input_numpy",
-    "conv1d_grad_weights_numpy",
 ]
 
 
-# --------------------------------------------------------------------------
-# loop-nest implementations (compiled by numba when enabled)
-# --------------------------------------------------------------------------
-
-
-def _forward_loops(x, w, b, offsets):
-    B, Cin, T = x.shape
-    Cout = w.shape[0]
-    K = offsets.shape[0]
-    out = np.empty((B, Cout, T))
-    for bi in range(B):
-        for o in range(Cout):
-            for t in range(T):
-                out[bi, o, t] = b[o]
-            for j in range(K):
-                off = offsets[j]
-                lo = -off if off < 0 else 0
-                hi = T - off if off > 0 else T
-                for c in range(Cin):
-                    wv = w[o, c, j]
-                    for t in range(lo, hi):
-                        out[bi, o, t] += wv * x[bi, c, t + off]
-    return out
-
-
-def _grad_input_loops(grad_out, w, offsets):
-    B, Cout, T = grad_out.shape
-    Cin = w.shape[1]
-    K = offsets.shape[0]
-    gx = np.zeros((B, Cin, T))
-    for bi in range(B):
-        for o in range(Cout):
-            for j in range(K):
-                off = offsets[j]
-                lo = -off if off < 0 else 0
-                hi = T - off if off > 0 else T
-                for c in range(Cin):
-                    wv = w[o, c, j]
-                    for t in range(lo, hi):
-                        gx[bi, c, t + off] += wv * grad_out[bi, o, t]
-    return gx
-
-
-def _grad_weights_loops(grad_out, x, kernel_size, offsets):
-    B, Cout, T = grad_out.shape
-    Cin = x.shape[1]
-    gw = np.zeros((Cout, Cin, kernel_size))
-    for bi in range(B):
-        for o in range(Cout):
-            for j in range(kernel_size):
-                off = offsets[j]
-                lo = -off if off < 0 else 0
-                hi = T - off if off > 0 else T
-                for c in range(Cin):
-                    acc = 0.0
-                    for t in range(lo, hi):
-                        acc += grad_out[bi, o, t] * x[bi, c, t + off]
-                    gw[o, c, j] += acc
-    return gw
-
-
-# --------------------------------------------------------------------------
-# numpy backend
-# --------------------------------------------------------------------------
-
-
-def conv1d_forward_numpy(x, w, b, offsets):
+def conv1d_forward(x, w, b, offsets):
     B, Cin, T = x.shape
     Cout, _, K = w.shape
     out = np.empty((B, Cout, T))
@@ -117,7 +38,7 @@ def conv1d_forward_numpy(x, w, b, offsets):
     return out
 
 
-def conv1d_grad_input_numpy(grad_out, w, offsets):
+def conv1d_grad_input(grad_out, w, offsets):
     B, Cout, T = grad_out.shape
     Cin = w.shape[1]
     K = offsets.shape[0]
@@ -134,7 +55,7 @@ def conv1d_grad_input_numpy(grad_out, w, offsets):
     return gx
 
 
-def conv1d_grad_weights_numpy(grad_out, x, kernel_size, offsets):
+def conv1d_grad_weights(grad_out, x, kernel_size, offsets):
     B, Cout, T = grad_out.shape
     Cin = x.shape[1]
     gw = np.zeros((Cout, Cin, kernel_size))
@@ -150,54 +71,6 @@ def conv1d_grad_weights_numpy(grad_out, x, kernel_size, offsets):
     return gw
 
 
-# --------------------------------------------------------------------------
-# backend selection
-# --------------------------------------------------------------------------
-
-_WANT_NUMBA = os.environ.get("RFSEARCH_NUMBA", "1").strip().lower() not in {
-    "0",
-    "false",
-    "off",
-    "no",
-}
-
-_NUMBA_OK = False
-if _WANT_NUMBA:
-    try:
-        from numba import njit
-
-        _forward_jit = njit(cache=True)(_forward_loops)
-        _grad_input_jit = njit(cache=True)(_grad_input_loops)
-        _grad_weights_jit = njit(cache=True)(_grad_weights_loops)
-        _NUMBA_OK = True
-    except ImportError:  # pragma: no cover - numba is a hard dep, but be safe
-        _NUMBA_OK = False
-
-if _NUMBA_OK:
-    conv1d_forward = _forward_jit
-    conv1d_grad_input = _grad_input_jit
-    conv1d_grad_weights = _grad_weights_jit
-else:
-    conv1d_forward = conv1d_forward_numpy
-    conv1d_grad_input = conv1d_grad_input_numpy
-    conv1d_grad_weights = conv1d_grad_weights_numpy
-
-
 def backend() -> str:
-    """Name of the active backend: ``"numba"`` or ``"numpy"``."""
-    return "numba" if _NUMBA_OK else "numpy"
-
-
-def numba_available() -> bool:
-    return _NUMBA_OK
-
-
-def warmup() -> None:
-    """Trigger JIT compilation of all kernels on tiny inputs (no-op for numpy)."""
-    x = np.zeros((1, 1, 4))
-    w = np.zeros((1, 1, 2))
-    b = np.zeros(1)
-    off = np.array([-1, 0], dtype=np.int64)
-    conv1d_forward(x, w, b, off)
-    conv1d_grad_input(x, w, off)
-    conv1d_grad_weights(x, x, 2, off)
+    """Name of the conv engine, recorded with benchmark results."""
+    return "numpy"

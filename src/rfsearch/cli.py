@@ -30,6 +30,7 @@ from .genome import (
 )
 from .globalsearch import GlobalConfig, run_global_search
 from .localsearch import (
+    PMF_KINDS,
     LocalConfig,
     ParallelLayer,
     ParallelStructure,
@@ -417,10 +418,7 @@ def cmd_local(cfg: ExperimentConfig, init: str, parallel: bool, pmf_kind: str | 
     if parallel:
         lcfg = dataclasses.replace(lcfg, finalize_parallel=True)
     if pmf_kind is not None:
-        kind = {"abs": "abs", "softmax": "softmax", "sigmoid": "sigmoid"}.get(pmf_kind)
-        if kind is None:
-            raise ConfigError(f"--pmf must be abs|softmax|sigmoid, got {pmf_kind!r}")
-        lcfg = dataclasses.replace(lcfg, pmf_kind=kind)
+        lcfg = dataclasses.replace(lcfg, pmf_kind=pmf_kind)
     if lcfg.max_dilation is None and cfg.task is not None:
         lcfg = dataclasses.replace(lcfg, max_dilation=cfg.task.sequence_length - 1)
     trainer = _build_trainer(cfg)
@@ -627,7 +625,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_local.add_argument(
         "--parallel", action="store_true", help="keep all branches of the final layers"
     )
-    p_local.add_argument("--pmf", default=None, help="abs | softmax | sigmoid")
+    p_local.add_argument("--pmf", default=None, choices=PMF_KINDS, help="branch PMF kind")
 
     p_train = sub.add_parser("train", help="train a fixed genome/structure and report metrics")
     add_common(p_train)

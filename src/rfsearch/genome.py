@@ -69,11 +69,9 @@ def build_space(k: int, T: int, cap: int) -> SearchSpace:
 
 @dataclass(frozen=True)
 class DilationGenome:
-    """Per-layer dilation rates; ``layer_map`` optionally records which network
-    layers the genes bind to (by default gene i binds the i-th searched layer)."""
+    """Per-layer dilation rates: gene i binds the i-th searched layer."""
 
     dilations: tuple[int, ...]
-    layer_map: tuple[int, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "dilations", tuple(int(d) for d in self.dilations))
@@ -81,17 +79,9 @@ class DilationGenome:
             raise ValueError("genome must have at least one gene")
         if any(d < 1 for d in self.dilations):
             raise ValueError(f"dilations must be >= 1, got {self.dilations}")
-        if self.layer_map is not None:
-            lm = tuple(int(i) for i in self.layer_map)
-            if len(lm) != len(self.dilations):
-                raise ValueError("layer_map length must match dilations")
-            object.__setattr__(self, "layer_map", lm)
 
     def __len__(self) -> int:
         return len(self.dilations)
-
-    def replace_dilations(self, dilations) -> "DilationGenome":
-        return DilationGenome(tuple(dilations), self.layer_map)
 
 
 @dataclass

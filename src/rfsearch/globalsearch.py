@@ -141,10 +141,7 @@ def crossover_segments(
     da, db = a.dilations, b.dilations
     child1 = da[:u] + db[u:v] + da[v:]
     child2 = db[:u] + da[u:v] + db[v:]
-    return (
-        DilationGenome(child1, a.layer_map),
-        DilationGenome(child2, b.layer_map),
-    )
+    return DilationGenome(child1), DilationGenome(child2)
 
 
 def mutate(
@@ -179,7 +176,7 @@ def mutate(
             genes[i] = cands[idx]
         else:
             raise ValueError(f"unknown mutation mode {mode!r}")
-    return DilationGenome(tuple(genes), g.layer_map)
+    return DilationGenome(tuple(genes))
 
 
 def derive_eval_seed(master_seed: int, genome: DilationGenome) -> int:

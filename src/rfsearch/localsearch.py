@@ -331,7 +331,7 @@ def run_local_search(initial: DilationGenome, cfg: LocalConfig, trainer, seed: i
                     new_dilation=new_d,
                 )
             )
-        genome = genome.replace_dilations(new_dilations)
+        genome = DilationGenome(new_dilations)
         last_branches = branch_sets
         last_alphas = alphas
         session.set_dilations(genome.dilations)

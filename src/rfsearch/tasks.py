@@ -18,8 +18,6 @@ results can be checked against ground truth:
 
 from __future__ import annotations
 
-import hashlib
-import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,9 +37,6 @@ __all__ = [
     "gen_permuted_pixels",
     "framewise_accuracy",
     "load_idx",
-    "task_spec_hash",
-    "save_task_cache",
-    "load_task_cache",
 ]
 
 TASK_KINDS = ("lagged_copy", "multiscale_sum", "noisy_event_span", "permuted_pixels")
@@ -325,49 +320,3 @@ def load_idx(path) -> np.ndarray:
         raise ValueError(f"{path}: truncated IDX payload")
     return data.reshape(dims).astype(dtype.newbyteorder("="))
 
-
-# --------------------------------------------------------------------------
-# on-disk cache: raw little-endian float64 arrays + JSON sidecar
-# --------------------------------------------------------------------------
-
-_CACHE_ARRAYS = ("train_x", "train_y", "train_mask", "val_x", "val_y", "val_mask")
-
-
-def task_spec_hash(spec: TaskSpec) -> str:
-    doc = {k: list(v) if isinstance(v, tuple) else v for k, v in vars(spec).items()}
-    blob = json.dumps(doc, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
-
-
-def save_task_cache(data: TaskData, spec: TaskSpec, directory) -> Path:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    meta = {"spec_hash": task_spec_hash(spec), "arrays": {}}
-    for name in _CACHE_ARRAYS:
-        arr = getattr(data, name)
-        meta["arrays"][name] = {"shape": list(arr.shape), "dtype": str(arr.dtype)}
-        arr.astype("<f8").tofile(directory / f"{name}.bin")
-    meta["num_classes"] = data.num_classes
-    meta["in_channels"] = data.in_channels
-    sidecar = directory / "meta.json"
-    sidecar.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    return sidecar
-
-
-def load_task_cache(spec: TaskSpec, directory) -> TaskData | None:
-    """Load a cached dataset if present and generated from an identical spec."""
-    directory = Path(directory)
-    sidecar = directory / "meta.json"
-    if not sidecar.exists():
-        return None
-    meta = json.loads(sidecar.read_text())
-    if meta.get("spec_hash") != task_spec_hash(spec):
-        return None
-    arrays = {}
-    for name in _CACHE_ARRAYS:
-        info = meta["arrays"][name]
-        raw = np.fromfile(directory / f"{name}.bin", dtype="<f8")
-        arrays[name] = raw.reshape(info["shape"]).astype(np.dtype(info["dtype"]))
-    return TaskData(
-        num_classes=meta["num_classes"], in_channels=meta["in_channels"], **arrays
-    )

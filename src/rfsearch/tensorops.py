@@ -20,7 +20,6 @@ __all__ = [
     "DegenerateCoefficientsError",
     "ConvKernel",
     "ConvTape",
-    "AdamState",
     "Adam",
     "WORST_FITNESS",
     "init_kernel",
@@ -31,8 +30,6 @@ __all__ = [
     "relu_backward",
     "softmax_nll_loss",
     "mse_loss",
-    "adam_init",
-    "adam_step",
 ]
 
 # Sentinel fitness for diverged candidate evaluations (finite stand-in for -inf).
@@ -245,83 +242,8 @@ def mse_loss(pred: np.ndarray, target: np.ndarray, mask=None):
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class AdamState:
-    """First/second moment accumulators plus step counter and hyperparameters."""
-
-    m: list[np.ndarray]
-    v: list[np.ndarray]
-    step: int
-    learning_rate: float
-    beta1: float
-    beta2: float
-    epsilon: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("betas must lie in [0, 1)")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
-
-
-def adam_init(
-    params: list[np.ndarray],
-    learning_rate: float = 1e-2,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    epsilon: float = 1e-8,
-) -> AdamState:
-    return AdamState(
-        m=[np.zeros_like(p) for p in params],
-        v=[np.zeros_like(p) for p in params],
-        step=0,
-        learning_rate=learning_rate,
-        beta1=beta1,
-        beta2=beta2,
-        epsilon=epsilon,
-    )
-
-
-def _adam_update_inplace(params, grads, state: AdamState, lr_overrides=None) -> None:
-    state.step += 1
-    t = state.step
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if p.shape != g.shape:
-            raise ValueError(f"param {i}: shape {p.shape} != grad shape {g.shape}")
-        if not np.isfinite(g).all():
-            raise TrainingDiverged(f"non-finite gradient for parameter {i}")
-        lr = state.learning_rate if lr_overrides is None else lr_overrides[i]
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * g * g
-        m_hat = state.m[i] / bc1
-        v_hat = state.v[i] / bc2
-        p -= lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
-
-
-def adam_step(params, grads, state: AdamState):
-    """One Adam update with bias correction; returns (new_params, new_state).
-
-    Pure: inputs are left untouched.  The in-place variant used by training
-    loops is the ``Adam`` class below.
-    """
-    new_params = [np.array(p, dtype=np.float64, copy=True) for p in params]
-    new_state = AdamState(
-        m=[m.copy() for m in state.m],
-        v=[v.copy() for v in state.v],
-        step=state.step,
-        learning_rate=state.learning_rate,
-        beta1=state.beta1,
-        beta2=state.beta2,
-        epsilon=state.epsilon,
-    )
-    _adam_update_inplace(new_params, [np.asarray(g, dtype=np.float64) for g in grads], new_state)
-    return new_params, new_state
-
-
 class Adam:
-    """In-place Adam over a list of parameter arrays.
+    """In-place Adam with bias correction over a list of parameter arrays.
 
     ``lr_overrides`` assigns a per-parameter learning rate (used to train
     branch coefficients at their own rate); entries of None fall back to the
@@ -337,17 +259,35 @@ class Adam:
         epsilon: float = 1e-8,
         lr_overrides: list[float | None] | None = None,
     ):
-        self.state = adam_init(params, learning_rate, beta1, beta2, epsilon)
+        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
+            raise ValueError("betas must lie in [0, 1)")
+        if epsilon <= 0.0:
+            raise ValueError("epsilon must be positive")
         if lr_overrides is None:
-            self._lrs = None
-        else:
-            if len(lr_overrides) != len(params):
-                raise ValueError("lr_overrides must align with params")
-            self._lrs = [
-                learning_rate if lr is None else float(lr) for lr in lr_overrides
-            ]
+            lr_overrides = [None] * len(params)
+        elif len(lr_overrides) != len(params):
+            raise ValueError("lr_overrides must align with params")
+        self.lrs = [learning_rate if lr is None else float(lr) for lr in lr_overrides]
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.epsilon = epsilon
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+        self.steps = 0
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        if len(params) != len(self.state.m):
+        if len(params) != len(self.m):
             raise ValueError("parameter list changed size under the optimizer")
-        _adam_update_inplace(params, grads, self.state, self._lrs)
+        self.steps += 1
+        bc1 = 1.0 - self.beta1**self.steps
+        bc2 = 1.0 - self.beta2**self.steps
+        for i, (p, g) in enumerate(zip(params, grads)):
+            if p.shape != g.shape:
+                raise ValueError(f"param {i}: shape {p.shape} != grad shape {g.shape}")
+            if not np.isfinite(g).all():
+                raise TrainingDiverged(f"non-finite gradient for parameter {i}")
+            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
+            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
+            m_hat = self.m[i] / bc1
+            v_hat = self.v[i] / bc2
+            p -= self.lrs[i] * m_hat / (np.sqrt(v_hat) + self.epsilon)

@@ -1,14 +1,6 @@
 import numpy as np
 import pytest
 
-from rfsearch import _kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # Compile the jitted kernels once so per-test timings stay meaningful.
-    _kernels.warmup()
-
 
 @pytest.fixture
 def rng():

@@ -390,7 +390,7 @@ def _suite_final_fitness(branches: int, pmf_kind: str, seed: int) -> float:
         pmf_kind=pmf_kind,
     )
     trainer = Trainer(data, _SUITE_NET, TrainSettings(learning_rate=0.02), seed=seed)
-    genome, _ = run_local_search(DilationGenome((4, 28)), cfg, trainer)
+    genome, _ = run_local_search(DilationGenome((4, 28)), cfg, trainer, seed=seed)
     fitness, _, _ = trainer.train_structure(genome, epochs=8, seed=5000 + seed)
     return fitness
 
@@ -476,7 +476,7 @@ def test_criterion_8_parallel_finalization():
     par, single = [], []
     for seed in range(10):
         trainer = Trainer(data, _SUITE_NET, TrainSettings(learning_rate=0.02), seed=seed)
-        searched, _ = run_local_search(DilationGenome((4, 28)), cfg, trainer)
+        searched, _ = run_local_search(DilationGenome((4, 28)), cfg, trainer, seed=seed)
         f_par, _, _ = trainer.train_structure(searched, epochs=8, seed=1000 + seed)
         f_single, _, _ = trainer.train_structure(searched.genome(), epochs=8, seed=1000 + seed)
         par.append(f_par)

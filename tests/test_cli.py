@@ -169,6 +169,17 @@ class TestLocalCommand:
         resolved = json.loads((tmp_path / "run" / "resolved_config.json").read_text())
         assert resolved["local"]["pmf_kind"] == "softmax"
 
+    def test_unknown_pmf_flag_exits_2(self, tmp_path, capsys):
+        cfg = _task_config(
+            tmp_path,
+            local={"iterations": 1, "epochs_per_iteration": 1},
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(["local", "--config", cfg, "--pmf", "bogus"])
+        assert exc.value.code == 2
+        assert "--pmf" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_genome_length_mismatch_exits_2(self, tmp_path, capsys):
         cfg = _task_config(
             tmp_path,

@@ -96,10 +96,6 @@ class TestGenomeValidation:
         with pytest.raises(ValueError):
             DilationGenome(())
 
-    def test_layer_map_length_checked(self):
-        with pytest.raises(ValueError):
-            DilationGenome((1, 2), layer_map=(0,))
-
 
 class TestSerialization:
     def test_round_trip_examples(self):

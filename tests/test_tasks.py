@@ -10,9 +10,6 @@ from rfsearch.tasks import (
     framewise_accuracy,
     generate,
     load_idx,
-    load_task_cache,
-    save_task_cache,
-    task_spec_hash,
 )
 from rfsearch.tensorops import softmax_nll_loss
 
@@ -268,25 +265,3 @@ class TestIdxAndPermutedPixels:
         again = generate(spec)
         assert np.array_equal(again.train_x, data.train_x)
 
-
-class TestCache:
-    def test_round_trip_bit_identical(self, tmp_path):
-        spec = _lagged_spec()
-        data = generate(spec)
-        save_task_cache(data, spec, tmp_path / "cache")
-        back = load_task_cache(spec, tmp_path / "cache")
-        assert back is not None
-        for name in ("train_x", "train_y", "train_mask", "val_x", "val_y", "val_mask"):
-            a, b = getattr(data, name), getattr(back, name)
-            assert a.dtype == b.dtype
-            assert np.array_equal(a, b)
-
-    def test_stale_cache_is_ignored(self, tmp_path):
-        spec = _lagged_spec()
-        save_task_cache(generate(spec), spec, tmp_path / "cache")
-        other = _lagged_spec(seed=99)
-        assert load_task_cache(other, tmp_path / "cache") is None
-        assert task_spec_hash(spec) != task_spec_hash(other)
-
-    def test_missing_cache(self, tmp_path):
-        assert load_task_cache(_lagged_spec(), tmp_path / "nope") is None

@@ -6,8 +6,6 @@ from rfsearch.tensorops import (
     Adam,
     ConvKernel,
     TrainingDiverged,
-    adam_init,
-    adam_step,
     dilated_conv1d_backward,
     dilated_conv1d_forward,
     init_kernel,
@@ -255,12 +253,12 @@ def test_mse_loss_gradient_matches_finite_differences():
 class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):
         params = [np.array([1.0, -2.0]), np.array([[3.0]])]
-        state = adam_init(params, learning_rate=0.1)
-        new_params, new_state = adam_step(params, [np.zeros(2), np.zeros((1, 1))], state)
-        assert np.array_equal(new_params[0], params[0])
-        assert np.array_equal(new_params[1], params[1])
-        assert new_state.step == 1
-        assert state.step == 0  # purity
+        before = [p.copy() for p in params]
+        opt = Adam(params, learning_rate=0.1)
+        opt.step(params, [np.zeros(2), np.zeros((1, 1))])
+        assert np.array_equal(params[0], before[0])
+        assert np.array_equal(params[1], before[1])
+        assert opt.steps == 1
 
     def test_single_scalar_first_step(self):
         # independent single-step arithmetic: m_hat = g, v_hat = g^2,
@@ -268,50 +266,40 @@ class TestAdam:
         lr, eps = 0.1, 1e-8
         expected_delta = lr * 1.0 / (1.0 + eps)
         params = [np.array([0.5])]
-        state = adam_init(params, learning_rate=lr, epsilon=eps)
-        new_params, _ = adam_step(params, [np.array([1.0])], state)
-        np.testing.assert_allclose(0.5 - new_params[0][0], expected_delta, rtol=1e-15)
-        assert abs((0.5 - new_params[0][0]) - 0.1) < 1e-8
+        opt = Adam(params, learning_rate=lr, epsilon=eps)
+        opt.step(params, [np.array([1.0])])
+        np.testing.assert_allclose(0.5 - params[0][0], expected_delta, rtol=1e-15)
+        assert abs((0.5 - params[0][0]) - 0.1) < 1e-8
 
     def test_repeated_gradient_moves_monotonically(self):
         params = [np.array([0.0])]
-        state = adam_init(params, learning_rate=0.05)
+        opt = Adam(params, learning_rate=0.05)
         g = [np.array([2.5])]
-        p1, state = adam_step(params, g, state)
-        p2, state = adam_step(p1, g, state)
-        assert p1[0][0] < params[0][0]
-        assert p2[0][0] < p1[0][0]
+        opt.step(params, g)
+        p1 = params[0][0]
+        opt.step(params, g)
+        assert p1 < 0.0
+        assert params[0][0] < p1
 
     def test_non_finite_gradient_raises(self):
         params = [np.array([0.0])]
-        state = adam_init(params)
+        opt = Adam(params)
         with pytest.raises(TrainingDiverged):
-            adam_step(params, [np.array([np.nan])], state)
+            opt.step(params, [np.array([np.nan])])
 
     def test_shape_mismatch_rejected(self):
         params = [np.zeros(3)]
-        state = adam_init(params)
+        opt = Adam(params)
         with pytest.raises(ValueError):
-            adam_step(params, [np.zeros(4)], state)
+            opt.step(params, [np.zeros(4)])
 
     def test_invalid_hyperparameters_rejected(self):
         with pytest.raises(ValueError):
-            adam_init([np.zeros(1)], beta1=1.0)
+            Adam([np.zeros(1)], beta1=1.0)
         with pytest.raises(ValueError):
-            adam_init([np.zeros(1)], beta2=-0.1)
+            Adam([np.zeros(1)], beta2=-0.1)
         with pytest.raises(ValueError):
-            adam_init([np.zeros(1)], epsilon=0.0)
-
-    def test_class_matches_functional_step(self, rng):
-        params_a = [rng.standard_normal(4), rng.standard_normal((2, 3))]
-        params_b = [p.copy() for p in params_a]
-        grads = [rng.standard_normal(4), rng.standard_normal((2, 3))]
-        state = adam_init(params_a, learning_rate=0.02)
-        stepped, _ = adam_step(params_a, grads, state)
-        opt = Adam(params_b, learning_rate=0.02)
-        opt.step(params_b, grads)
-        np.testing.assert_array_equal(stepped[0], params_b[0])
-        np.testing.assert_array_equal(stepped[1], params_b[1])
+            Adam([np.zeros(1)], epsilon=0.0)
 
     def test_per_parameter_learning_rate_override(self, rng):
         params = [np.zeros(2), np.zeros(2)]
