@@ -1,11 +1,21 @@
 """Experiment harness: JSON configs, subcommands, logging, reports.
 
-All randomness flows from ``master_seed`` through named sub-streams (see
-``seeding``); every run directory receives ``resolved_config.json`` with all
-defaults applied, and re-running from that file reproduces results
-byte-identically (including with ``--jobs`` > 1).
+Each config section is read into the dataclass that owns its fields,
+defaults and checks (``task`` -> ``TaskSpec``, ``network`` -> ``NetworkSpec``
+and ``LayerSpec``, ``training`` -> ``TrainSettings``, ``local`` ->
+``LocalConfig``, ``surrogate`` -> ``SurrogateFitness``, the search keys of
+``global`` and ``oracle.ga`` -> ``GlobalConfig``).  JSON types are strict: a
+bool must be ``true``/``false``, an int must be neither a float nor a bool,
+and ``null`` is accepted only where the default is null.  Any invalid value
+is a config error, raised before a run directory or task data exists.
 
-Exit codes: 0 success, 2 usage/config error, 3 runtime failure.
+All randomness flows from ``master_seed`` through named sub-streams (see
+``seeding``).  Every run directory receives ``resolved_config.json``, the same
+mapping run in reverse with all defaults applied; running again from it
+reproduces every output byte-for-byte (tested for each subcommand).
+
+Exit codes: 0 success, 2 usage/config error, 3 runtime failure (with its
+traceback on stderr).
 """
 
 from __future__ import annotations
@@ -14,7 +24,11 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
+import traceback
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +36,7 @@ import numpy as np
 from . import seeding
 from .genome import (
     DilationGenome,
+    SearchSpace,
     build_space,
     format_genome_string,
     genome_from_json,
@@ -48,26 +63,113 @@ class ConfigError(Exception):
     """Invalid or missing configuration; maps to exit code 2."""
 
 
-def _take(section: dict, key: str, default, caster):
-    if key in section:
-        value = section.pop(key)
-        if value is None:
-            return None if default is None or key in _NULLABLE else default
-        try:
-            return caster(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config field {key!r}: {exc}") from exc
-    return default
+# --------------------------------------------------------------------------
+# config schema: each section is read into the dataclass that owns it
+# --------------------------------------------------------------------------
 
 
-_NULLABLE = {
-    "max_dilation",
-    "coeff_learning_rate",
-    "target",
-    "decoy",
-    "images_path",
-    "labels_path",
-}
+@dataclasses.dataclass(frozen=True)
+class _SpaceKeys:
+    """Search-space keys of the ``global`` and ``oracle`` sections; a null
+    ``max_dilation`` takes the command's default cap."""
+
+    k: int = 2
+    T: int = 10
+    max_dilation: int | None = None
+
+
+@dataclasses.dataclass(frozen=True)
+class OracleConfig:
+    """The ``oracle`` section's own keys, plus the GA and surrogate they set.
+
+    A null ``target`` is drawn from the master seed at run time; until then
+    ``surrogate`` holds the all-ones genome as its target."""
+
+    length: int = 8
+    target: tuple[int, ...] | None = None
+    seeds: int = 20
+    methods: tuple[str, ...] = ("ga", "random")
+    ga: GlobalConfig | None = None
+    surrogate: SurrogateFitness | None = None
+
+    def __post_init__(self):
+        if self.length < 1:
+            raise ValueError("length must be >= 1")
+        if self.target is not None and len(self.target) != self.length:
+            raise ValueError(f"target has {len(self.target)} genes, length is {self.length}")
+        if self.seeds < 1:
+            raise ValueError("seeds must be >= 1")
+        if sorted(self.methods) not in (["ga"], ["random"], ["ga", "random"]):
+            raise ValueError(f"methods must be 'ga', 'random' or both, got {self.methods}")
+
+
+@dataclasses.dataclass
+class ExperimentConfig:
+    """Top-level keys plus one owning object per section (None if absent)."""
+
+    master_seed: int = 0
+    output_dir: str = "runs/out"
+    task: TaskSpec | None = None
+    network: NetworkSpec | None = None
+    training: TrainSettings = dataclasses.field(default_factory=TrainSettings)
+    global_cfg: GlobalConfig | None = None
+    local_cfg: LocalConfig | None = None
+    surrogate: SurrogateFitness | None = None
+    oracle_cfg: OracleConfig | None = None
+
+    def __post_init__(self):
+        # the genetic search runs on the master seed, also after --seed
+        if self.global_cfg is not None:
+            self.global_cfg = dataclasses.replace(self.global_cfg, master_seed=self.master_seed)
+
+
+# config key -> ExperimentConfig field
+_SECTIONS = {"task": "task", "network": "network", "training": "training",
+             "global": "global_cfg", "local": "local_cfg", "surrogate": "surrogate",
+             "oracle": "oracle_cfg"}
+# fields set from other sections or by the command, not read from keys
+_GA_FIXED = ("space", "genome_length", "master_seed")
+_NET_FIXED = ("in_channels", "num_classes", "layers")
+
+
+def _value(value, hint, default, where: str):
+    """``value`` checked against the type ``hint``; JSON lists become tuples."""
+    if value is None:
+        if default is None:
+            return None
+        raise ConfigError(f"{where} must not be null")
+    if isinstance(hint, types.UnionType):  # X | None
+        (hint,) = [a for a in typing.get_args(hint) if a is not type(None)]
+    if typing.get_origin(hint) is tuple:
+        if type(value) is not list:
+            raise ConfigError(f"{where} must be a list, got {json.dumps(value)}")
+        item = typing.get_args(hint)[0]
+        return tuple(
+            _value(v, item, dataclasses.MISSING, f"{where}[{i}]") for i, v in enumerate(value)
+        )
+    if hint is float and type(value) in (int, float):
+        if not math.isfinite(value):
+            raise ConfigError(f"{where} must be finite, got {value}")
+        return float(value)
+    if type(value) is not hint:
+        raise ConfigError(f"{where} must be {hint.__name__}, got {json.dumps(value)}")
+    return value
+
+
+def _fields(section: dict, owner, where: str, skip=()) -> dict:
+    """Pop the fields of dataclass ``owner`` (except ``skip``) from ``section``
+    as constructor keywords; absent keys are left to the owner's defaults."""
+    hints = typing.get_type_hints(owner)
+    kwargs = {}
+    for f in dataclasses.fields(owner):
+        if f.name in skip:
+            continue
+        key = f"{where}.{f.name}".lstrip(".")
+        if f.name in section:
+            kwargs[f.name] = _value(section.pop(f.name), hints[f.name], f.default, key)
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"{key} is required")
+    return kwargs
 
 
 def _no_leftovers(section: dict, where: str):
@@ -75,156 +177,72 @@ def _no_leftovers(section: dict, where: str):
         raise ConfigError(f"unknown config keys in {where}: {sorted(section)}")
 
 
-def _parse_task(section: dict) -> TaskSpec:
-    sec = dict(section)
-    kind = _take(sec, "kind", None, str)
-    if kind is None:
-        raise ConfigError("task.kind is required")
-    kwargs = dict(
-        kind=kind,
-        sequence_length=_take(sec, "sequence_length", 256, int),
-        train_size=_take(sec, "train_size", 2000, int),
-        val_size=_take(sec, "val_size", 500, int),
-        seed=_take(sec, "seed", 0, int),
-        num_symbols=_take(sec, "num_symbols", 8, int),
-        lag=_take(sec, "lag", 12, int),
-        windows=tuple(_take(sec, "windows", (4, 32), lambda v: [int(x) for x in v])),
-        event_rate=_take(sec, "event_rate", 0.05, float),
-        span=_take(sec, "span", 16, int),
-        noise_level=_take(sec, "noise_level", 0.5, float),
-        images_path=_take(sec, "images_path", None, str),
-        labels_path=_take(sec, "labels_path", None, str),
-        permutation_seed=_take(sec, "permutation_seed", 0, int),
-    )
-    _no_leftovers(sec, "task")
+def _build(make, where: str, *args, **kwargs):
     try:
-        return TaskSpec(**kwargs)
+        return make(*args, **kwargs)
     except ValueError as exc:
-        raise ConfigError(f"task: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _parse_network(section: dict) -> dict:
-    sec = dict(section)
-    layers_raw = _take(sec, "layers", None, list)
-    if not layers_raw:
-        raise ConfigError("network.layers is required and must be non-empty")
-    layers = []
-    for i, ls in enumerate(layers_raw):
-        ls = dict(ls)
-        layers.append(
-            dict(
-                kernel_size=_take(ls, "kernel_size", 3, int),
-                channels=_take(ls, "channels", 16, int),
-                residual=_take(ls, "residual", False, bool),
-            )
-        )
-        _no_leftovers(ls, f"network.layers[{i}]")
-    head = _take(sec, "head", "classifier", str)
-    padding = _take(sec, "padding_mode", "causal", str)
-    _no_leftovers(sec, "network")
-    return {"layers": layers, "head": head, "padding_mode": padding}
+def _read(section: dict, owner, where: str, skip=(), **fixed):
+    """Build ``owner`` from every key of ``section`` plus the ``fixed`` arguments."""
+    kwargs = _fields(section, owner, where, skip=(*skip, *fixed))
+    _no_leftovers(section, where)
+    return _build(owner, where, **fixed, **kwargs)
 
 
-def _parse_training(section: dict) -> TrainSettings:
-    sec = dict(section)
-    kwargs = dict(
-        learning_rate=_take(sec, "learning_rate", 0.01, float),
-        batch_size=_take(sec, "batch_size", 32, int),
-        coeff_learning_rate=_take(sec, "coeff_learning_rate", None, float),
-        final_epochs=_take(sec, "final_epochs", 30, int),
+def _object(value, where: str) -> dict:
+    if type(value) is not dict:
+        raise ConfigError(f"{where} must be a JSON object")
+    return dict(value)
+
+
+def _space(keys: _SpaceKeys, where: str, cap: int | None) -> SearchSpace:
+    if keys.max_dilation is not None:
+        cap = keys.max_dilation
+    elif cap is None:
+        cap = keys.k**keys.T
+    return _build(build_space, where, keys.k, keys.T, cap)
+
+
+def _read_network(section: dict, task: TaskSpec | None) -> NetworkSpec:
+    if task is None:
+        raise ConfigError("a network section needs a task section")
+    layers = section.pop("layers", None)
+    if type(layers) is not list or not layers:
+        raise ConfigError("network.layers is required and must be a non-empty list")
+    specs = tuple(
+        _read(_object(layer, f"network.layers[{i}]"), LayerSpec, f"network.layers[{i}]")
+        for i, layer in enumerate(layers)
     )
-    _no_leftovers(sec, "training")
-    try:
-        return TrainSettings(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"training: {exc}") from exc
+    return _read(section, NetworkSpec, "network", in_channels=task.in_channels,
+                 num_classes=task.num_classes, layers=specs)
 
 
-def _parse_global(section: dict) -> dict:
-    sec = dict(section)
-    out = dict(
-        iterations=_take(sec, "iterations", 20, int),
-        population=_take(sec, "population", 12, int),
-        p_m=_take(sec, "p_m", 0.2, float),
-        p_s=_take(sec, "p_s", 0.2, float),
-        epochs=_take(sec, "epochs", 3, int),
-        k=_take(sec, "k", 2, int),
-        T=_take(sec, "T", 10, int),
-        max_dilation=_take(sec, "max_dilation", None, int),
-        mutation_mode=_take(sec, "mutation_mode", "uniform", str),
-    )
-    _no_leftovers(sec, "global")
-    return out
+def _read_global(section: dict, task, network, surrogate) -> GlobalConfig:
+    keys = _SpaceKeys(**_fields(section, _SpaceKeys, "global"))
+    search = _fields(section, GlobalConfig, "global", skip=_GA_FIXED)
+    _no_leftovers(section, "global")
+    if surrogate is not None:
+        length, cap = len(surrogate.target), None
+    elif network is not None:
+        length, cap = len(network.searched_layer_indices()), task.sequence_length - 1
+    else:
+        raise ConfigError("global search needs a surrogate section, or task and network sections")
+    return _build(GlobalConfig, "global", space=_space(keys, "global", cap),
+                  genome_length=length, **search)
 
 
-def _parse_local(section: dict) -> LocalConfig:
-    sec = dict(section)
-    kwargs = dict(
-        delta_fraction=_take(sec, "delta_fraction", 0.1, float),
-        branches=_take(sec, "branches", 3, int),
-        iterations=_take(sec, "iterations", 10, int),
-        epochs_per_iteration=_take(sec, "epochs_per_iteration", 3, int),
-        w_init=_take(sec, "w_init", 1.0, float),
-        finalize_parallel=_take(sec, "finalize_parallel", False, bool),
-        pmf_kind=_take(sec, "pmf_kind", "abs", str),
-        max_dilation=_take(sec, "max_dilation", None, int),
-    )
-    _no_leftovers(sec, "local")
-    try:
-        return LocalConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"local: {exc}") from exc
-
-
-def _parse_surrogate(section: dict) -> dict:
-    sec = dict(section)
-    out = dict(
-        target=_take(sec, "target", None, lambda v: [int(x) for x in v]),
-        deceptive=_take(sec, "deceptive", False, bool),
-        decoy=_take(sec, "decoy", None, lambda v: [int(x) for x in v]),
-    )
-    _no_leftovers(sec, "surrogate")
-    return out
-
-
-def _parse_oracle(section: dict) -> dict:
-    sec = dict(section)
-    ga_sec = dict(_take(sec, "ga", {}, dict) or {})
-    ga = dict(
-        population=_take(ga_sec, "population", 12, int),
-        iterations=_take(ga_sec, "iterations", 20, int),
-        p_m=_take(ga_sec, "p_m", 0.2, float),
-        p_s=_take(ga_sec, "p_s", 0.2, float),
-        mutation_mode=_take(ga_sec, "mutation_mode", "uniform", str),
-    )
-    _no_leftovers(ga_sec, "oracle.ga")
-    out = dict(
-        k=_take(sec, "k", 2, int),
-        T=_take(sec, "T", 10, int),
-        max_dilation=_take(sec, "max_dilation", None, int),
-        length=_take(sec, "length", 8, int),
-        target=_take(sec, "target", None, lambda v: [int(x) for x in v]),
-        deceptive=_take(sec, "deceptive", False, bool),
-        decoy=_take(sec, "decoy", None, lambda v: [int(x) for x in v]),
-        seeds=_take(sec, "seeds", 20, int),
-        methods=_take(sec, "methods", ["ga", "random"], lambda v: [str(x) for x in v]),
-        ga=ga,
-    )
-    _no_leftovers(sec, "oracle")
-    return out
-
-
-@dataclasses.dataclass
-class ExperimentConfig:
-    master_seed: int
-    output_dir: str
-    task: TaskSpec | None
-    network: dict | None
-    training: TrainSettings
-    global_cfg: dict | None
-    local_cfg: LocalConfig | None
-    surrogate: dict | None
-    oracle_cfg: dict | None
+def _read_oracle(section: dict) -> OracleConfig:
+    ga_section = _object(section.pop("ga", {}), "oracle.ga")
+    keys = _SpaceKeys(**_fields(section, _SpaceKeys, "oracle"))
+    fitness = _fields(section, SurrogateFitness, "oracle", skip=("target",))
+    oracle = _read(section, OracleConfig, "oracle", ga=None, surrogate=None)
+    ga = _read(ga_section, GlobalConfig, "oracle.ga", skip=("master_seed",),
+               space=_space(keys, "oracle", None), genome_length=oracle.length, epochs=1)
+    target = oracle.target if oracle.target is not None else (1,) * oracle.length
+    surrogate = _build(SurrogateFitness, "oracle", target, **fitness)
+    return dataclasses.replace(oracle, ga=ga, surrogate=surrogate)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -238,39 +256,73 @@ def load_config(path) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path} must contain a JSON object")
     doc = dict(doc)
-    cfg = ExperimentConfig(
-        master_seed=_take(doc, "master_seed", 0, int),
-        output_dir=_take(doc, "output_dir", "runs/out", str),
-        task=_parse_task(doc.pop("task")) if "task" in doc else None,
-        network=_parse_network(doc.pop("network")) if "network" in doc else None,
-        training=_parse_training(doc.pop("training")) if "training" in doc else _parse_training({}),
-        global_cfg=_parse_global(doc.pop("global")) if "global" in doc else None,
-        local_cfg=_parse_local(doc.pop("local")) if "local" in doc else None,
-        surrogate=_parse_surrogate(doc.pop("surrogate")) if "surrogate" in doc else None,
-        oracle_cfg=_parse_oracle(doc.pop("oracle")) if "oracle" in doc else None,
-    )
+    sec = {key: _object(doc.pop(key), key) for key in _SECTIONS if key in doc}
+    top = _fields(doc, ExperimentConfig, "", skip=_SECTIONS.values())
     _no_leftovers(doc, "top level")
-    if cfg.global_cfg is None and cfg.local_cfg is None and cfg.oracle_cfg is None:
+    if not sec.keys() & {"global", "local", "oracle"}:
         raise ConfigError("config needs at least one of: global, local, oracle")
-    return cfg
+    task = _read(sec["task"], TaskSpec, "task") if "task" in sec else None
+    network = _read_network(sec["network"], task) if "network" in sec else None
+    surrogate = (
+        _read(sec["surrogate"], SurrogateFitness, "surrogate") if "surrogate" in sec else None
+    )
+    local = _read(sec["local"], LocalConfig, "local") if "local" in sec else None
+    if local is not None and local.max_dilation is None and task is not None:
+        local = dataclasses.replace(local, max_dilation=task.sequence_length - 1)
+    return ExperimentConfig(
+        **top,
+        task=task,
+        network=network,
+        training=_read(sec.get("training", {}), TrainSettings, "training"),
+        global_cfg=(
+            _read_global(sec["global"], task, network, surrogate) if "global" in sec else None
+        ),
+        local_cfg=local,
+        surrogate=surrogate,
+        oracle_cfg=_read_oracle(sec["oracle"]) if "oracle" in sec else None,
+    )
+
+
+def _doc(obj, skip=()) -> dict:
+    """The inverse of ``_fields``: ``obj``'s fields (except ``skip``) as JSON values."""
+    doc = {}
+    for f in dataclasses.fields(obj):
+        if f.name not in skip:
+            value = getattr(obj, f.name)
+            doc[f.name] = list(value) if isinstance(value, tuple) else value
+    return doc
+
+
+def _space_doc(space: SearchSpace) -> dict:
+    return _doc(_SpaceKeys(space.k, space.T, space.max_dilation_cap))
 
 
 def _resolved_config_doc(cfg: ExperimentConfig) -> dict:
-    doc = {"master_seed": cfg.master_seed, "output_dir": cfg.output_dir}
+    """``load_config`` run in reverse, with every default applied."""
+    doc = _doc(cfg, skip=_SECTIONS.values())
+    doc["training"] = _doc(cfg.training)
     if cfg.task is not None:
-        task = {k: list(v) if isinstance(v, tuple) else v for k, v in vars(cfg.task).items()}
-        doc["task"] = task
+        doc["task"] = _doc(cfg.task)
     if cfg.network is not None:
-        doc["network"] = cfg.network
-    doc["training"] = dataclasses.asdict(cfg.training)
-    if cfg.global_cfg is not None:
-        doc["global"] = cfg.global_cfg
-    if cfg.local_cfg is not None:
-        doc["local"] = dataclasses.asdict(cfg.local_cfg)
+        doc["network"] = {
+            **_doc(cfg.network, skip=_NET_FIXED),
+            "layers": [_doc(layer) for layer in cfg.network.layers],
+        }
     if cfg.surrogate is not None:
-        doc["surrogate"] = cfg.surrogate
+        doc["surrogate"] = _doc(cfg.surrogate)
+    if cfg.local_cfg is not None:
+        doc["local"] = _doc(cfg.local_cfg)
+    if cfg.global_cfg is not None:
+        g = cfg.global_cfg
+        doc["global"] = {**_doc(g, skip=_GA_FIXED), **_space_doc(g.space)}
     if cfg.oracle_cfg is not None:
-        doc["oracle"] = cfg.oracle_cfg
+        o = cfg.oracle_cfg
+        doc["oracle"] = {
+            **_doc(o, skip=("ga", "surrogate")),
+            **_space_doc(o.ga.space),
+            **_doc(o.surrogate, skip=("target",)),
+            "ga": _doc(o.ga, skip=(*_GA_FIXED, "epochs")),
+        }
     return doc
 
 
@@ -279,41 +331,25 @@ def _write_json(path: Path, doc) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _build_net_spec(cfg: ExperimentConfig) -> NetworkSpec:
-    if cfg.task is None or cfg.network is None:
-        raise ConfigError("this command needs both a task and a network section")
-    layers = tuple(LayerSpec(**ls) for ls in cfg.network["layers"])
-    try:
-        return NetworkSpec(
-            in_channels=cfg.task.in_channels,
-            layers=layers,
-            num_classes=cfg.task.num_classes,
-            head=cfg.network["head"],
-            padding_mode=cfg.network["padding_mode"],
-        )
-    except ValueError as exc:
-        raise ConfigError(f"network: {exc}") from exc
-
-
 def _build_trainer(cfg: ExperimentConfig) -> Trainer:
-    net_spec = _build_net_spec(cfg)
-    data = generate(cfg.task)
-    return Trainer(data, net_spec, cfg.training, seed=cfg.master_seed)
+    if cfg.network is None:
+        raise ConfigError("this command needs both a task and a network section")
+    return Trainer(generate(cfg.task), cfg.network, cfg.training, seed=cfg.master_seed)
 
 
 def _load_initial_genome(init: str, length: int) -> DilationGenome:
     if init == "baseline":
         return DilationGenome((1,) * length)
     path = Path(init)
-    if path.exists():
-        genome, _ = genome_from_json(path.read_text())
-    else:
-        try:
+    try:
+        if path.exists():
+            genome, _ = genome_from_json(path.read_text())
+        else:
             genome = parse_genome_string(init)
-        except ValueError as exc:
-            raise ConfigError(
-                f"--init must be 'baseline', a genome JSON path, or 'd1,d2,...': {exc}"
-            ) from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"--init must be 'baseline', a genome JSON path, or 'd1,d2,...': {exc}"
+        ) from exc
     if len(genome) != length:
         raise ConfigError(
             f"initial genome has {len(genome)} genes, network expects {length}"
@@ -324,21 +360,22 @@ def _load_initial_genome(init: str, length: int) -> DilationGenome:
 def _load_structure(init: str, length: int):
     """Like _load_initial_genome but also accepts a parallel-structure JSON."""
     path = Path(init)
-    if path.exists():
-        doc = json.loads(path.read_text())
-        if isinstance(doc, dict) and doc.get("type") == "parallel":
-            layers = tuple(
-                ParallelLayer(tuple(int(d) for d in l["dilations"]),
-                              tuple(float(a) for a in l["alphas"]))
-                for l in doc["layers"]
-            )
-            structure = ParallelStructure(layers)
-            if len(structure.layers) != length:
-                raise ConfigError(
-                    f"structure has {len(structure.layers)} layers, network expects {length}"
-                )
-            return structure
-    return _load_initial_genome(init, length)
+    try:
+        doc = json.loads(path.read_text()) if path.exists() else None
+        if not (isinstance(doc, dict) and doc.get("type") == "parallel"):
+            return _load_initial_genome(init, length)
+        structure = ParallelStructure(tuple(
+            ParallelLayer(tuple(int(d) for d in l["dilations"]),
+                          tuple(float(a) for a in l["alphas"]))
+            for l in doc["layers"]
+        ))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"--init {init} is not a valid structure: {exc!r}") from exc
+    if len(structure.layers) != length:
+        raise ConfigError(
+            f"structure has {len(structure.layers)} layers, network expects {length}"
+        )
+    return structure
 
 
 def _structure_doc(result, kernel_sizes) -> dict:
@@ -367,41 +404,14 @@ def _structure_doc(result, kernel_sizes) -> dict:
 def cmd_global(cfg: ExperimentConfig, jobs: int) -> int:
     if cfg.global_cfg is None:
         raise ConfigError("config has no 'global' section")
-    g = cfg.global_cfg
     out = Path(cfg.output_dir)
     if cfg.surrogate is not None:
-        if cfg.surrogate["target"] is None:
-            raise ConfigError("surrogate.target is required for global search")
-        target = tuple(cfg.surrogate["target"])
-        fitness = SurrogateFitness(
-            target,
-            deceptive=cfg.surrogate["deceptive"],
-            decoy=tuple(cfg.surrogate["decoy"]) if cfg.surrogate["decoy"] else None,
-        )
-        trainer = fitness.as_trainer()
-        length = len(target)
-        cap = g["max_dilation"] if g["max_dilation"] else g["k"] ** g["T"]
-        kernel_sizes = None
+        trainer, kernel_sizes = cfg.surrogate.as_trainer(), None
     else:
-        trainer = _build_trainer(cfg)
-        length = trainer.genome_length
-        cap = g["max_dilation"] if g["max_dilation"] else cfg.task.sequence_length - 1
-        kernel_sizes = trainer.net_spec.searched_kernel_sizes()
-    space = build_space(g["k"], g["T"], cap)
-    gcfg = GlobalConfig(
-        space=space,
-        genome_length=length,
-        iterations=g["iterations"],
-        population=g["population"],
-        p_m=g["p_m"],
-        p_s=g["p_s"],
-        epochs=g["epochs"],
-        master_seed=cfg.master_seed,
-        mutation_mode=g["mutation_mode"],
-    )
+        trainer, kernel_sizes = _build_trainer(cfg), cfg.network.searched_kernel_sizes()
     _write_json(out / "resolved_config.json", _resolved_config_doc(cfg))
     population = run_global_search(
-        gcfg, trainer, jobs=jobs, log_dir=out, kernel_sizes=kernel_sizes
+        cfg.global_cfg, trainer, jobs=jobs, log_dir=out, kernel_sizes=kernel_sizes
     )
     best = population.best()
     print(
@@ -419,18 +429,16 @@ def cmd_local(cfg: ExperimentConfig, init: str, parallel: bool, pmf_kind: str | 
         lcfg = dataclasses.replace(lcfg, finalize_parallel=True)
     if pmf_kind is not None:
         lcfg = dataclasses.replace(lcfg, pmf_kind=pmf_kind)
-    if lcfg.max_dilation is None and cfg.task is not None:
-        lcfg = dataclasses.replace(lcfg, max_dilation=cfg.task.sequence_length - 1)
+    cfg = dataclasses.replace(cfg, local_cfg=lcfg)
     trainer = _build_trainer(cfg)
     initial = _load_initial_genome(init, trainer.genome_length)
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    cfg = dataclasses.replace(cfg, local_cfg=lcfg)
     _write_json(out / "resolved_config.json", _resolved_config_doc(cfg))
     result, history = run_local_search(initial, lcfg, trainer, seed=cfg.master_seed)
     with open(out / "local_trajectory.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iteration", "layer_index", "dilations", "alphas", "new_dilation"])
+        writer.writerow(["iteration", "layer_index", "dilations", "alphas", "new_dilation",
+                         "rounding_offset"])
         for row in history:
             writer.writerow(
                 [
@@ -439,6 +447,7 @@ def cmd_local(cfg: ExperimentConfig, init: str, parallel: bool, pmf_kind: str | 
                     json.dumps(list(row.dilations)),
                     json.dumps(list(row.alphas)),
                     row.new_dilation,
+                    repr(row.offset),
                 ]
             )
     kernel_sizes = trainer.net_spec.searched_kernel_sizes()
@@ -453,12 +462,16 @@ def cmd_local(cfg: ExperimentConfig, init: str, parallel: bool, pmf_kind: str | 
 
 
 def cmd_train(cfg: ExperimentConfig, init: str, epochs: int | None) -> int:
+    if epochs is not None:
+        training = _build(dataclasses.replace, "--epochs", cfg.training, final_epochs=epochs)
+        cfg = dataclasses.replace(cfg, training=training)
     trainer = _build_trainer(cfg)
     structure = _load_structure(init, trainer.genome_length)
-    n_epochs = epochs if epochs is not None else cfg.training.final_epochs
+    n_epochs = cfg.training.final_epochs
     seed = seeding.derive_seed(cfg.master_seed, "train-final")
-    fitness, metrics, _net = trainer.train_structure(structure, n_epochs, seed)
     out = Path(cfg.output_dir)
+    _write_json(out / "resolved_config.json", _resolved_config_doc(cfg))
+    fitness, metrics, _net = trainer.train_structure(structure, n_epochs, seed)
     doc = {
         "structure": _structure_doc(structure, trainer.net_spec.searched_kernel_sizes()),
         "epochs": n_epochs,
@@ -475,50 +488,30 @@ def cmd_oracle(cfg: ExperimentConfig, jobs: int) -> int:
     if cfg.oracle_cfg is None:
         raise ConfigError("config has no 'oracle' section")
     o = cfg.oracle_cfg
-    cap = o["max_dilation"] if o["max_dilation"] else o["k"] ** o["T"]
-    space = build_space(o["k"], o["T"], cap)
-    length = o["length"]
-    if o["target"] is not None:
-        target = tuple(o["target"])
-    else:
+    target = o.target
+    if target is None:
         target = random_genome(
-            space, length, seeding.derive_rng(cfg.master_seed, "oracle-target")
+            o.ga.space, o.length, seeding.derive_rng(cfg.master_seed, "oracle-target")
         ).dilations
-    fitness = SurrogateFitness(
-        target,
-        deceptive=o["deceptive"],
-        decoy=tuple(o["decoy"]) if o["decoy"] else None,
-    )
-    ga = o["ga"]
-    budget = (1 + ga["iterations"]) * ga["population"]
+    fitness = dataclasses.replace(o.surrogate, target=target)
+    budget = (1 + o.ga.iterations) * o.ga.population
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "resolved_config.json", _resolved_config_doc(cfg))
     rows = []
-    finals: dict[str, list[float]] = {m: [] for m in o["methods"]}
-    for s in range(o["seeds"]):
+    finals: dict[str, list[float]] = {m: [] for m in o.methods}
+    for s in range(o.seeds):
         seed = seeding.derive_seed(cfg.master_seed, "oracle-seed", s)
-        for method in o["methods"]:
+        for method in o.methods:
             if method == "ga":
-                gcfg = GlobalConfig(
-                    space=space,
-                    genome_length=length,
-                    iterations=ga["iterations"],
-                    population=ga["population"],
-                    p_m=ga["p_m"],
-                    p_s=ga["p_s"],
-                    epochs=1,
-                    master_seed=seed,
-                    mutation_mode=ga["mutation_mode"],
-                )
                 trajectory: list = []
                 run_global_search(
-                    gcfg, fitness.as_trainer(), jobs=jobs, trajectory_out=trajectory
+                    dataclasses.replace(o.ga, master_seed=seed),
+                    fitness.as_trainer(),
+                    jobs=jobs,
+                    trajectory_out=trajectory,
                 )
-            elif method == "random":
-                _, trajectory = random_search(space, length, budget, fitness, seed)
             else:
-                raise ConfigError(f"unknown oracle method {method!r}")
+                _, trajectory = random_search(o.ga.space, o.length, budget, fitness, seed)
             for b, f in trajectory:
                 rows.append((b, f, s, method))
             finals[method].append(trajectory[-1][1])
@@ -542,7 +535,7 @@ def cmd_oracle(cfg: ExperimentConfig, jobs: int) -> int:
     for m, stats in summary["methods"].items():
         print(
             f"oracle {m}: final best {stats['final_mean']:.6g} "
-            f"+/- {stats['final_std']:.3g} over {o['seeds']} seeds"
+            f"+/- {stats['final_std']:.3g} over {o.seeds} seeds"
         )
     return 0
 
@@ -661,6 +654,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure
+        print(traceback.format_exc(), end="", file=sys.stderr)
         print(f"runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

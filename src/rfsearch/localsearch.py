@@ -251,12 +251,24 @@ class LocalConfig:
             raise ValueError("iterations and epochs_per_iteration must be >= 1")
         if self.pmf_kind not in PMF_KINDS:
             raise ValueError(f"unknown pmf kind {self.pmf_kind!r}")
+        if self.max_dilation is not None and self.max_dilation < 1:
+            raise ValueError("max_dilation must be >= 1")
 
 
 @dataclass(frozen=True)
 class ParallelLayer:
     dilations: tuple[int, ...]
     alphas: tuple[float, ...]
+
+    def __post_init__(self):
+        if len(self.dilations) != len(self.alphas):
+            raise ValueError("one alpha per dilation is required")
+        if not self.dilations:
+            raise ValueError("a parallel layer needs at least one branch")
+        if any(d < 1 for d in self.dilations):
+            raise ValueError(f"dilations must be >= 1, got {self.dilations}")
+        if not np.isfinite(self.alphas).all():
+            raise ValueError(f"alphas must be finite, got {self.alphas}")
 
 
 @dataclass(frozen=True)
@@ -280,6 +292,7 @@ class LocalIterationRow:
     dilations: tuple[int, ...]
     alphas: tuple[float, ...]
     new_dilation: int
+    offset: float  # rounding offset u: new_dilation = floor(E + u)
 
 
 def run_local_search(initial: DilationGenome, cfg: LocalConfig, trainer, seed: int = 0):
@@ -320,7 +333,8 @@ def run_local_search(initial: DilationGenome, cfg: LocalConfig, trainer, seed: i
         offsets = rng.random(len(genome.dilations))
         new_dilations = list(genome.dilations)
         for li, candidates in branch_sets.items():
-            new_d = expected_dilation(candidates, alphas[li], float(offsets[li]))
+            u = float(offsets[li])
+            new_d = expected_dilation(candidates, alphas[li], u)
             new_dilations[li] = new_d
             history.append(
                 LocalIterationRow(
@@ -329,6 +343,7 @@ def run_local_search(initial: DilationGenome, cfg: LocalConfig, trainer, seed: i
                     dilations=candidates,
                     alphas=tuple(float(a) for a in alphas[li]),
                     new_dilation=new_d,
+                    offset=u,
                 )
             )
         genome = DilationGenome(new_dilations)

@@ -54,8 +54,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LayerSpec:
-    kernel_size: int
-    channels: int
+    kernel_size: int = 3
+    channels: int = 16
     residual: bool = False
 
     def __post_init__(self):
@@ -80,7 +80,11 @@ class NetworkSpec:
             raise ValueError("network needs at least one layer")
         if self.head not in ("classifier", "regressor"):
             raise ValueError(f"unknown head {self.head!r}")
+        if self.padding_mode not in ("causal", "centered"):
+            raise ValueError(f"unknown padding_mode {self.padding_mode!r}")
         object.__setattr__(self, "layers", tuple(self.layers))
+        if self.padding_mode == "centered" and any(l.kernel_size % 2 == 0 for l in self.layers):
+            raise ValueError("centered padding requires odd kernel sizes")
         prev = self.in_channels
         for i, spec in enumerate(self.layers):
             if spec.residual and spec.channels != prev:
@@ -298,13 +302,12 @@ class TrainSettings:
     batch_size: int = 32
     coeff_learning_rate: float | None = None
     final_epochs: int = 30
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     def __post_init__(self):
         if self.learning_rate <= 0 or self.batch_size < 1 or self.final_epochs < 1:
             raise ValueError("invalid training settings")
+        if self.coeff_learning_rate is not None and self.coeff_learning_rate <= 0:
+            raise ValueError("coeff_learning_rate must be > 0")
 
 
 class Trainer:
@@ -387,14 +390,7 @@ class Trainer:
                 self.settings.coeff_learning_rate if is_coeff else None
                 for is_coeff in net.coefficient_flags()
             ]
-        opt = Adam(
-            params,
-            learning_rate=self.settings.learning_rate,
-            beta1=self.settings.beta1,
-            beta2=self.settings.beta2,
-            epsilon=self.settings.epsilon,
-            lr_overrides=overrides,
-        )
+        opt = Adam(params, learning_rate=self.settings.learning_rate, lr_overrides=overrides)
         n = data.train_x.shape[0]
         bs = min(self.settings.batch_size, n)
         last_epoch_loss = 0.0

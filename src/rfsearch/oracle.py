@@ -34,8 +34,15 @@ class SurrogateFitness:
     decoy: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        if not self.target or min(self.target) < 1:
+            raise ValueError(f"target must be a non-empty genome of dilations >= 1, "
+                             f"got {self.target}")
         if self.deceptive and self.decoy is None:
             raise ValueError("deceptive surrogate needs a decoy genome")
+        if self.decoy is not None and (
+            len(self.decoy) != len(self.target) or min(self.decoy) < 1
+        ):
+            raise ValueError("decoy must be as long as the target, with dilations >= 1")
 
     @staticmethod
     def _log_dist(dilations, reference) -> float:

@@ -1,9 +1,13 @@
+import csv
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
+from rfsearch import cli
 from rfsearch.cli import ConfigError, load_config, main
+from rfsearch.localsearch import expected_dilation
 
 
 def _write(path: Path, doc) -> str:
@@ -143,7 +147,9 @@ class TestLocalCommand:
         assert structure["type"] == "genome"
         assert len(structure["dilations"]) == 1
         lines = (out / "local_trajectory.csv").read_text().strip().splitlines()
-        assert lines[0] == "iteration,layer_index,dilations,alphas,new_dilation"
+        assert lines[0] == (
+            "iteration,layer_index,dilations,alphas,new_dilation,rounding_offset"
+        )
         assert len(lines) > 1
 
     def test_genome_string_init_and_parallel_flag(self, tmp_path):
@@ -187,6 +193,26 @@ class TestLocalCommand:
         )
         rc = main(["local", "--config", cfg, "--init", "2,4"])
         assert rc == 2
+
+    def test_trajectory_rows_recompute_from_the_file(self, tmp_path):
+        cfg = _task_config(
+            tmp_path,
+            network={"layers": [{"kernel_size": 2, "channels": 6}] * 2},
+            local={"iterations": 6, "epochs_per_iteration": 1, "branches": 3},
+        )
+        assert main(["local", "--config", cfg, "--init", "4,6"]) == 0
+        with open(tmp_path / "run" / "local_trajectory.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 12
+        floors_differ = 0
+        for row in rows:
+            dilations, alphas = json.loads(row["dilations"]), json.loads(row["alphas"])
+            u = float(row["rounding_offset"])
+            assert 0.0 <= u < 1.0
+            assert int(row["new_dilation"]) == expected_dilation(dilations, alphas, u)
+            floors_differ += int(row["new_dilation"]) != expected_dilation(dilations, alphas)
+        # some steps rounded up, so the recorded offset is what decides them
+        assert floors_differ > 0
 
     @pytest.mark.parametrize("flags", [[], ["--parallel"]])
     def test_rerun_is_byte_identical(self, tmp_path, flags):
@@ -251,6 +277,19 @@ class TestTrainCommand:
         assert rc == 0
         doc = json.loads((tmp_path / "run" / "train_metrics.json").read_text())
         assert doc["structure"]["type"] == "parallel"
+
+    @pytest.mark.parametrize(
+        "layer",
+        [{"dilations": [1, 2], "alphas": [1.0]}, {"dilations": [1, 2]}],
+        ids=["alphas-too-short", "alphas-missing"],
+    )
+    def test_invalid_structure_file_exits_2(self, tmp_path, capsys, layer):
+        spath = tmp_path / "structure.json"
+        spath.write_text(json.dumps({"type": "parallel", "layers": [layer]}))
+        cfg = _task_config(tmp_path, local={"iterations": 1, "epochs_per_iteration": 1})
+        assert main(["train", "--config", cfg, "--init", str(spath)]) == 2
+        assert "not a valid structure" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
 
 class TestOracleAndReport:
@@ -349,7 +388,9 @@ class TestRuntimeFailureExitCode:
         path = _write(tmp_path / "cfg.json", doc)
         rc = main(["global", "--config", path])
         assert rc == 3
-        assert "runtime failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "runtime failure" in err
+        assert "Traceback" in err
 
 
 class TestJobsDeterminism:
@@ -370,3 +411,122 @@ class TestJobsDeterminism:
         assert main(["global", "--config", cfg2, "--jobs", "3"]) == 0
         assert (tmp_path / "j2" / "best.json").read_bytes() == best1
         assert (tmp_path / "j2" / "trajectory.csv").read_bytes() == traj1
+
+
+def _run_outputs(out: Path) -> dict:
+    """Every file of a run directory; population_log.csv without wall time."""
+    files = {}
+    for path in sorted(out.iterdir()):
+        if path.name == "population_log.csv":
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))
+            wall = rows[0].index("wall_time_s")
+            files[path.name] = [row[:wall] + row[wall + 1:] for row in rows]
+        else:
+            files[path.name] = path.read_bytes()
+    return files
+
+
+_GA = {"iterations": 2, "population": 4, "epochs": 1, "k": 2, "T": 3}
+_LOCAL = {"iterations": 2, "epochs_per_iteration": 1}
+_ORACLE = {
+    "k": 2, "T": 3, "length": 3, "seeds": 2,
+    "ga": {"population": 4, "iterations": 2, "p_m": 0.5},
+}
+
+
+class TestResolvedConfigRoundTrip:
+    """A run started again from its own resolved_config.json, with no flag
+    that the config records, writes the same resolved config and outputs."""
+
+    @pytest.mark.parametrize(
+        "command, sections, flags, kept_flags",
+        [
+            pytest.param("global", {"global": _GA}, [], [], id="global-task"),
+            pytest.param(
+                "global", {"surrogate": {"target": [1, 4, 2, 8]}, "global": _GA}, [], [],
+                id="global-surrogate",
+            ),
+            pytest.param(
+                "local", {"local": _LOCAL}, ["--parallel", "--pmf", "softmax", "--seed", "11"],
+                [], id="local-parallel-softmax-seed",
+            ),
+            pytest.param(
+                "train", {"local": _LOCAL}, ["--init", "3", "--epochs", "2"], ["--init", "3"],
+                id="train-genome",
+            ),
+            pytest.param(
+                "train", {"local": _LOCAL}, ["--init", "structure.json"],
+                ["--init", "structure.json"], id="train-parallel-structure",
+            ),
+            pytest.param("oracle", {"oracle": _ORACLE}, [], [], id="oracle"),
+        ],
+    )
+    def test_rerun_from_resolved_config(
+        self, tmp_path, monkeypatch, command, sections, flags, kept_flags
+    ):
+        # --init names an input file, not a setting, so the rerun passes it again
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "structure.json").write_text(json.dumps({
+            "type": "parallel",
+            "layers": [{"dilations": [2, 3, 4], "alphas": [0.2, 0.5, 0.3]}],
+        }))
+        out = tmp_path / "run"
+        assert main([command, "--config", _task_config(tmp_path, **sections), *flags]) == 0
+        first = _run_outputs(out)
+        assert "resolved_config.json" in first
+        resolved = tmp_path / "resolved.json"
+        shutil.copy(out / "resolved_config.json", resolved)
+        shutil.rmtree(out)
+        assert main([command, "--config", str(resolved), *kept_flags]) == 0
+        assert _run_outputs(out) == first
+
+
+_INVALID_CONFIGS = [
+    pytest.param("global", {"global": {**_GA, "population": 1}}, id="population-1"),
+    pytest.param("global", {"global": {**_GA, "k": 1}}, id="k-1"),
+    pytest.param("global", {"global": {**_GA, "mutation_mode": "bogus"}}, id="mutation-mode"),
+    pytest.param(
+        "global",
+        {"global": _GA,
+         "network": {"layers": [{"kernel_size": 2, "channels": 4, "residual": "false"}]}},
+        id="residual-string",
+    ),
+    pytest.param("local", {"local": {**_LOCAL, "finalize_parallel": "no"}},
+                 id="finalize-parallel-string"),
+    pytest.param("global", {"global": {**_GA, "iterations": 2.9}}, id="iterations-float"),
+    pytest.param("global", {"global": {**_GA, "iterations": None}}, id="iterations-null"),
+    pytest.param("oracle", {"oracle": {**_ORACLE, "seeds": 0}}, id="oracle-seeds-0"),
+    pytest.param("oracle", {"oracle": {**_ORACLE, "methods": ["ga", "bogus"]}},
+                 id="oracle-methods-bogus"),
+    pytest.param("oracle", {"oracle": {**_ORACLE, "ga": {"population": 1}}},
+                 id="oracle-ga-population-1"),
+    pytest.param("global", {"global": {**_GA, "epochs": True}}, id="int-given-bool"),
+    pytest.param("global", {"global": _GA, "training": {"learning_rate": float("nan")}},
+                 id="learning-rate-nan"),
+    pytest.param("oracle", {"oracle": {**_ORACLE, "target": [1, 2]}},
+                 id="oracle-target-length"),
+    pytest.param("global", {"surrogate": {"target": [0, 2]}, "global": _GA},
+                 id="surrogate-target-0"),
+    pytest.param(
+        "global",
+        {"global": _GA, "network": {"layers": [{"kernel_size": 2}], "padding_mode": "bogus"}},
+        id="padding-mode",
+    ),
+]
+
+
+@pytest.mark.parametrize("command, sections", _INVALID_CONFIGS)
+def test_invalid_config_exits_2_before_any_output(
+    tmp_path, monkeypatch, capsys, command, sections
+):
+    def no_task_data(spec):
+        raise AssertionError("task data generated for an invalid config")
+
+    monkeypatch.setattr(cli, "generate", no_task_data)
+    cfg = _task_config(tmp_path, **sections)
+    with pytest.raises(ConfigError):
+        load_config(cfg)
+    assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "run").exists()

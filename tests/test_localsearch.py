@@ -457,6 +457,23 @@ class TestParallelParamCount:
         assert parallel_param_count(structure) == 6
 
 
+class TestParallelLayer:
+    @pytest.mark.parametrize(
+        "dilations, alphas",
+        [
+            ((1, 2), (1.0,)),
+            ((), ()),
+            ((0, 2), (0.5, 0.5)),
+            ((1, 2), (0.5, float("nan"))),
+            ((1, 2), (float("inf"), 0.5)),
+        ],
+        ids=["length-mismatch", "empty", "dilation-0", "nan-alpha", "inf-alpha"],
+    )
+    def test_invalid_layer_rejected(self, dilations, alphas):
+        with pytest.raises(ValueError):
+            ParallelLayer(dilations, alphas)
+
+
 def test_pmf_backward_matches_finite_differences_standalone():
     rng = np.random.default_rng(8)
     for kind in ("abs", "softmax", "sigmoid"):
