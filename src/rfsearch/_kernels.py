@@ -1,7 +1,8 @@
 """Hot inner loops for batched dilated 1-D convolution.
 
 Each kernel loops over the taps in Python and does the channel contraction
-of one tap with ``np.einsum`` on the in-range time slice.
+of one tap with one ``np.matmul`` (BLAS) on the in-range time slice, in the
+native (batch, channel, time) layout.
 
 Conventions: arrays are float64, layout (batch, channel, time) for sequences
 and (out_channel, in_channel, tap) for weights.  ``offsets[j]`` is the signed
@@ -32,9 +33,7 @@ def conv1d_forward(x, w, b, offsets):
         hi = min(T, T - off)
         if lo >= hi:
             continue
-        out[:, :, lo:hi] += np.einsum(
-            "oc,bct->bot", w[:, :, j], x[:, :, lo + off : hi + off]
-        )
+        out[:, :, lo:hi] += w[:, :, j] @ x[:, :, lo + off : hi + off]
     return out
 
 
@@ -49,9 +48,7 @@ def conv1d_grad_input(grad_out, w, offsets):
         hi = min(T, T - off)
         if lo >= hi:
             continue
-        gx[:, :, lo + off : hi + off] += np.einsum(
-            "oc,bot->bct", w[:, :, j], grad_out[:, :, lo:hi]
-        )
+        gx[:, :, lo + off : hi + off] += w[:, :, j].T @ grad_out[:, :, lo:hi]
     return gx
 
 
@@ -65,9 +62,9 @@ def conv1d_grad_weights(grad_out, x, kernel_size, offsets):
         hi = min(T, T - off)
         if lo >= hi:
             continue
-        gw[:, :, j] = np.einsum(
-            "bot,bct->oc", grad_out[:, :, lo:hi], x[:, :, lo + off : hi + off]
-        )
+        gw[:, :, j] = (
+            grad_out[:, :, lo:hi] @ x[:, :, lo + off : hi + off].transpose(0, 2, 1)
+        ).sum(axis=0)
     return gw
 
 

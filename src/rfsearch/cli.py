@@ -11,8 +11,10 @@ is a config error, raised before a run directory or task data exists.
 
 All randomness flows from ``master_seed`` through named sub-streams (see
 ``seeding``).  Every run directory receives ``resolved_config.json``, the same
-mapping run in reverse with all defaults applied; running again from it
-reproduces every output byte-for-byte (tested for each subcommand).
+mapping run in reverse with all defaults applied (``train`` writes
+``train_resolved_config.json`` instead, so it leaves the record of the search
+it follows in place); running again from it reproduces every output
+byte-for-byte (tested for each subcommand).
 
 Exit codes: 0 success, 2 usage/config error, 3 runtime failure (with its
 traceback on stderr).
@@ -470,7 +472,9 @@ def cmd_train(cfg: ExperimentConfig, init: str, epochs: int | None) -> int:
     n_epochs = cfg.training.final_epochs
     seed = seeding.derive_seed(cfg.master_seed, "train-final")
     out = Path(cfg.output_dir)
-    _write_json(out / "resolved_config.json", _resolved_config_doc(cfg))
+    # train usually shares its directory with the search it follows, whose
+    # resolved_config.json must stay the record of that search
+    _write_json(out / "train_resolved_config.json", _resolved_config_doc(cfg))
     fitness, metrics, _net = trainer.train_structure(structure, n_epochs, seed)
     doc = {
         "structure": _structure_doc(structure, trainer.net_spec.searched_kernel_sizes()),

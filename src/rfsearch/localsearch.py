@@ -135,12 +135,14 @@ def multi_dilated_forward(x: np.ndarray, state: MultiDilatedLayerState, want_tap
     tapes = []
     branch_outs = []
     for a, d in zip(alpha, state.dilations):
-        y, tape = dilated_conv1d_forward(
-            x, state.kernel, d, state.padding_mode, want_tape=True
-        )
         if want_tape:
+            y, tape = dilated_conv1d_forward(
+                x, state.kernel, d, state.padding_mode, want_tape=True
+            )
             tapes.append(tape)
             branch_outs.append(y)
+        else:
+            y = dilated_conv1d_forward(x, state.kernel, d, state.padding_mode)
         out = a * y if out is None else out + a * y
     if want_tape:
         return out, MultiDilatedTape(state, tapes, branch_outs, alpha)

@@ -472,14 +472,40 @@ class TestResolvedConfigRoundTrip:
             "layers": [{"dilations": [2, 3, 4], "alphas": [0.2, 0.5, 0.3]}],
         }))
         out = tmp_path / "run"
+        record = "train_resolved_config.json" if command == "train" else "resolved_config.json"
         assert main([command, "--config", _task_config(tmp_path, **sections), *flags]) == 0
         first = _run_outputs(out)
-        assert "resolved_config.json" in first
+        assert record in first
         resolved = tmp_path / "resolved.json"
-        shutil.copy(out / "resolved_config.json", resolved)
+        shutil.copy(out / record, resolved)
         shutil.rmtree(out)
         assert main([command, "--config", str(resolved), *kept_flags]) == 0
         assert _run_outputs(out) == first
+
+    def test_train_after_local_keeps_the_search_record(self, tmp_path):
+        # local --parallel, then train into the same directory: each stage's
+        # record reruns its own stage byte for byte
+        out = tmp_path / "run"
+        cfg = _task_config(tmp_path, local=_LOCAL)
+        assert main(["local", "--config", cfg, "--parallel", "--init", "3"]) == 0
+        assert main(["train", "--config", cfg, "--init", str(out / "final_structure.json"),
+                     "--epochs", "2"]) == 0
+        structure = (out / "final_structure.json").read_bytes()
+        metrics = (out / "train_metrics.json").read_bytes()
+        assert json.loads(structure)["type"] == "parallel"
+        assert json.loads((out / "resolved_config.json").read_text())["local"][
+            "finalize_parallel"] is True
+        local_record = tmp_path / "local.json"
+        train_record = tmp_path / "train.json"
+        shutil.copy(out / "resolved_config.json", local_record)
+        shutil.copy(out / "train_resolved_config.json", train_record)
+        shutil.copy(out / "final_structure.json", tmp_path / "structure.json")
+        shutil.rmtree(out)
+        assert main(["local", "--config", str(local_record), "--init", "3"]) == 0
+        assert (out / "final_structure.json").read_bytes() == structure
+        assert main(["train", "--config", str(train_record),
+                     "--init", str(tmp_path / "structure.json")]) == 0
+        assert (out / "train_metrics.json").read_bytes() == metrics
 
 
 _INVALID_CONFIGS = [
