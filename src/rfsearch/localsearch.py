@@ -100,19 +100,27 @@ def pmf_backward(coefficients, kind: str, alpha: np.ndarray, grad_alpha: np.ndar
 
 @dataclass
 class MultiDilatedLayerState:
-    """Shared kernel applied at several dilations, mixed by the coefficient PMF."""
+    """Shared kernel applied at several dilations, mixed by the coefficient PMF.
+
+    ``coefficients=None`` is a frozen single branch with alpha = 1: a plain
+    conv layer, which does no mixing arithmetic.
+    """
 
     kernel: ConvKernel
     dilations: tuple[int, ...]
-    coefficients: np.ndarray
+    coefficients: np.ndarray | None
     pmf_kind: str = "abs"
     padding_mode: str = "causal"
 
     def __post_init__(self):
         self.dilations = tuple(int(d) for d in self.dilations)
-        self.coefficients = np.asarray(self.coefficients, dtype=np.float64)
-        if len(self.dilations) != self.coefficients.size:
-            raise ValueError("one coefficient per dilation branch is required")
+        if self.coefficients is None:
+            if len(self.dilations) != 1:
+                raise ValueError("a layer without coefficients has exactly one branch")
+        else:
+            self.coefficients = np.asarray(self.coefficients, dtype=np.float64)
+            if len(self.dilations) != self.coefficients.size:
+                raise ValueError("one coefficient per dilation branch is required")
         if self.pmf_kind not in PMF_KINDS:
             raise ValueError(f"unknown pmf kind {self.pmf_kind!r}")
 
@@ -125,11 +133,16 @@ class MultiDilatedTape:
     state: MultiDilatedLayerState
     branch_tapes: list
     branch_outputs: list
-    alpha: np.ndarray
+    alpha: np.ndarray | None
 
 
 def multi_dilated_forward(x: np.ndarray, state: MultiDilatedLayerState, want_tape: bool = False):
     """Weighted branch sum: sum_i alpha_i * conv(x, kernel, d_i)."""
+    if state.coefficients is None:  # frozen: the one branch, unscaled
+        out = dilated_conv1d_forward(
+            x, state.kernel, state.dilations[0], state.padding_mode, want_tape
+        )
+        return (out[0], MultiDilatedTape(state, [out[1]], [], None)) if want_tape else out
     alpha = state.alpha()
     out = None
     tapes = []
@@ -150,8 +163,11 @@ def multi_dilated_forward(x: np.ndarray, state: MultiDilatedLayerState, want_tap
 
 
 def multi_dilated_backward(tape: MultiDilatedTape, grad_out: np.ndarray):
-    """Exact adjoints: (grad_x, grad_weights, grad_bias, grad_coefficients)."""
+    """Exact adjoints: (grad_x, grad_weights, grad_bias, grad_coefficients);
+    grad_coefficients is None for a frozen single branch."""
     grad_out = np.asarray(grad_out, dtype=np.float64)
+    if tape.alpha is None:
+        return (*dilated_conv1d_backward(tape.branch_tapes[0], grad_out), None)
     grad_x = None
     grad_w = None
     grad_b = None

@@ -2,9 +2,10 @@
 
 A network is a stack of same-length dilated conv blocks (conv -> ReLU ->
 optional residual add) followed by a width-1 head.  Genomes bind to the
-layers with kernel_size > 1, in order.  Any searched layer can temporarily
-or permanently run in branch mode (one shared kernel applied at several
-dilations, mixed by the coefficient PMF).
+layers with kernel_size > 1, in order.  Every conv layer is a multi-dilated
+layer; a plain layer is its frozen one-branch case.  Any searched layer can
+temporarily or permanently run in branch mode (one shared kernel applied at
+several dilations, mixed by the coefficient PMF).
 
 The Trainer owns task data plus hyperparameters and provides the two
 callback surfaces the search algorithms consume: the candidate-evaluation
@@ -25,12 +26,10 @@ from .localsearch import (
     ParallelStructure,
     multi_dilated_backward,
     multi_dilated_forward,
-    pmf,
 )
 from .tasks import TaskData, framewise_accuracy
 from .tensorops import (
     Adam,
-    ConvKernel,
     TrainingDiverged,
     dilated_conv1d_backward,
     dilated_conv1d_forward,
@@ -109,139 +108,106 @@ class NetworkSpec:
 class DilatedNet:
     """Stack of dilated conv blocks with hand-written adjoints.
 
-    ``branch_sets`` maps searched-layer position (genome index) to a tuple of
-    branch dilations; those layers run in multi-dilated mode with one
-    coefficient per branch.
+    Every layer is a ``MultiDilatedLayerState``.  A plain layer is a frozen
+    single branch (no coefficients); a searched layer in branch mode applies
+    its kernel at several dilations, mixed with one learnable coefficient per
+    branch.  ``structure`` sets the searched layers: a genome freezes each at
+    one dilation, a ParallelStructure puts each in branch mode with its
+    alphas as coefficients, and None leaves every layer at dilation 1.
     """
 
     def __init__(
         self,
         spec: NetworkSpec,
-        genome: DilationGenome | None,
+        structure: DilationGenome | ParallelStructure | None,
         rng: np.random.Generator,
         pmf_kind: str = "abs",
     ):
         self.spec = spec
         self.pmf_kind = pmf_kind
         self._searched = spec.searched_layer_indices()
-        self.dilations = [1] * len(spec.layers)
-        if genome is not None:
-            if len(genome) != len(self._searched):
-                raise ValueError(
-                    f"genome has {len(genome)} genes, network has "
-                    f"{len(self._searched)} searched layers"
-                )
-            for gi, li in enumerate(self._searched):
-                self.dilations[li] = genome.dilations[gi]
-        self.kernels: list[ConvKernel] = []
+        self.layers: list[MultiDilatedLayerState] = []
         prev = spec.in_channels
         for lspec in spec.layers:
-            self.kernels.append(init_kernel(rng, lspec.channels, prev, lspec.kernel_size))
+            kernel = init_kernel(rng, lspec.channels, prev, lspec.kernel_size)
+            self.layers.append(self._state(kernel, (1,), None))
             prev = lspec.channels
         self.head_kernel = init_kernel(rng, spec.num_classes, prev, 1)
-        # genome index -> (branch dilations, raw coefficients)
-        self._branches: dict[int, tuple[tuple[int, ...], np.ndarray]] = {}
         self._tapes = None
+        if isinstance(structure, ParallelStructure):
+            self._check_length(len(structure.layers))
+            for gi, layer in enumerate(structure.layers):
+                self._set_layer(gi, layer.dilations, layer.alphas)
+        elif structure is not None:
+            self.set_dilations(structure.dilations)
 
     # -- structure manipulation ------------------------------------------
 
-    def genome(self) -> DilationGenome:
-        return DilationGenome(tuple(self.dilations[li] for li in self._searched))
+    def _state(self, kernel, dilations, coefficients) -> MultiDilatedLayerState:
+        return MultiDilatedLayerState(
+            kernel, dilations, coefficients, self.pmf_kind, self.spec.padding_mode
+        )
 
-    def set_genome_dilations(self, dilations) -> None:
-        dilations = tuple(int(d) for d in dilations)
-        if len(dilations) != len(self._searched):
-            raise ValueError("dilation list does not match searched layers")
-        for gi, li in enumerate(self._searched):
-            self.dilations[li] = dilations[gi]
+    def _check_length(self, n: int) -> None:
+        if n != len(self._searched):
+            raise ValueError(
+                f"structure has {n} layers, network has {len(self._searched)} searched layers"
+            )
 
-    def set_branches(self, branch_sets: dict, w_init: float = 1.0, coefficients=None) -> None:
+    def _set_layer(self, gi: int, dilations, coefficients) -> None:
+        if gi < 0 or gi >= len(self._searched):
+            raise ValueError(f"no searched layer {gi}")
+        li = self._searched[gi]
+        self.layers[li] = self._state(self.layers[li].kernel, dilations, coefficients)
+
+    def set_dilations(self, dilations) -> None:
+        """Freeze every searched layer to one branch at its given dilation."""
+        self._check_length(len(dilations))
+        for gi, d in enumerate(dilations):
+            self._set_layer(gi, (d,), None)
+
+    def set_branches(self, branch_sets: dict, w_init: float = 1.0) -> None:
         """Switch the given searched layers into branch mode.
 
-        Coefficients reset to ``w_init`` (or the provided per-layer arrays);
-        kernels are left untouched so weights persist across calls.
+        Coefficients start at ``w_init``; kernels are left untouched so
+        weights persist across calls.
         """
-        self._branches = {}
         for gi, dils in branch_sets.items():
-            if gi < 0 or gi >= len(self._searched):
-                raise ValueError(f"no searched layer {gi}")
-            dils = tuple(int(d) for d in dils)
-            if coefficients is not None and gi in coefficients:
-                w = np.asarray(coefficients[gi], dtype=np.float64).copy()
-                if w.size != len(dils):
-                    raise ValueError("coefficient array does not match branch count")
-            else:
-                w = np.full(len(dils), float(w_init))
-            self._branches[gi] = (dils, w)
-
-    def clear_branches(self) -> None:
-        self._branches = {}
+            self._set_layer(gi, dils, np.full(len(dils), float(w_init)))
 
     def branch_pmfs(self) -> dict[int, np.ndarray]:
+        """Mixing PMF of each searched layer in branch mode, by genome index."""
         return {
-            gi: pmf(w, self.pmf_kind) for gi, (dils, w) in self._branches.items()
+            gi: self.layers[li].alpha()
+            for gi, li in enumerate(self._searched)
+            if self.layers[li].coefficients is not None
         }
-
-    def branch_state(self, gi: int) -> MultiDilatedLayerState:
-        dils, w = self._branches[gi]
-        return MultiDilatedLayerState(
-            kernel=self.kernels[self._searched[gi]],
-            dilations=dils,
-            coefficients=w,
-            pmf_kind=self.pmf_kind,
-            padding_mode=self.spec.padding_mode,
-        )
 
     # -- parameters --------------------------------------------------------
 
     def parameters(self) -> list[np.ndarray]:
+        """Kernel weights and bias per layer, then the head's, then the
+        coefficients of each layer in branch mode."""
         params = []
-        for k in self.kernels:
-            params.append(k.weights)
-            params.append(k.bias)
-        params.append(self.head_kernel.weights)
-        params.append(self.head_kernel.bias)
-        for gi in sorted(self._branches):
-            params.append(self._branches[gi][1])
+        for state in self.layers:
+            params += [state.kernel.weights, state.kernel.bias]
+        params += [self.head_kernel.weights, self.head_kernel.bias]
+        params += [s.coefficients for s in self.layers if s.coefficients is not None]
         return params
-
-    def coefficient_flags(self) -> list[bool]:
-        """True for parameter slots holding branch coefficients."""
-        flags = [False] * (2 * len(self.kernels) + 2)
-        flags.extend(True for _ in sorted(self._branches))
-        return flags
 
     # -- forward / backward -------------------------------------------------
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        genome_index = {li: gi for gi, li in enumerate(self._searched)}
-        tapes = [] if train else None
+        tapes = []
         h = np.asarray(x, dtype=np.float64)
-        for li, lspec in enumerate(self.spec.layers):
-            gi = genome_index.get(li)
-            if gi is not None and gi in self._branches:
-                state = self.branch_state(gi)
-                if train:
-                    z, tape = multi_dilated_forward(h, state, want_tape=True)
-                else:
-                    z = multi_dilated_forward(h, state)
-                    tape = None
-            else:
-                if train:
-                    z, tape = dilated_conv1d_forward(
-                        h, self.kernels[li], self.dilations[li],
-                        self.spec.padding_mode, want_tape=True,
-                    )
-                else:
-                    z = dilated_conv1d_forward(
-                        h, self.kernels[li], self.dilations[li], self.spec.padding_mode
-                    )
-                    tape = None
-            a = relu(z)
-            out = a + h if lspec.residual else a
+        for state, lspec in zip(self.layers, self.spec.layers):
             if train:
-                tapes.append((tape, z, lspec.residual, gi))
-            h = out
+                z, tape = multi_dilated_forward(h, state, want_tape=True)
+                tapes.append((tape, z))
+            else:
+                z = multi_dilated_forward(h, state)
+            a = relu(z)
+            h = a + h if lspec.residual else a
         if train:
             logits, head_tape = dilated_conv1d_forward(
                 h, self.head_kernel, 1, self.spec.padding_mode, want_tape=True
@@ -259,30 +225,18 @@ class DilatedNet:
         if self._tapes is None:
             raise RuntimeError("backward requires a preceding forward(train=True)")
         tapes, head_tape = self._tapes
-        n_layers = len(self.spec.layers)
-        grad_w = [None] * n_layers
-        grad_b = [None] * n_layers
-        grad_coeff: dict[int, np.ndarray] = {}
         g, gw_head, gb_head = dilated_conv1d_backward(head_tape, grad_logits)
-        for li in range(n_layers - 1, -1, -1):
-            tape, z, residual, gi = tapes[li]
-            gz = relu_backward(z, g)
-            if gi is not None and gi in self._branches:
-                gx, gw, gb, gc = multi_dilated_backward(tape, gz)
-                grad_coeff[gi] = gc
-            else:
-                gx, gw, gb = dilated_conv1d_backward(tape, gz)
-            grad_w[li] = gw
-            grad_b[li] = gb
-            g = gx + g if residual else gx
+        layer_grads = []
+        for (tape, z), lspec in zip(reversed(tapes), reversed(self.spec.layers)):
+            gx, gw, gb, gc = multi_dilated_backward(tape, relu_backward(z, g))
+            layer_grads.append((gw, gb, gc))
+            g = gx + g if lspec.residual else gx
+        layer_grads.reverse()
         grads = []
-        for li in range(n_layers):
-            grads.append(grad_w[li])
-            grads.append(grad_b[li])
-        grads.append(gw_head)
-        grads.append(gb_head)
-        for gi in sorted(self._branches):
-            grads.append(grad_coeff[gi])
+        for gw, gb, _ in layer_grads:
+            grads += [gw, gb]
+        grads += [gw_head, gb_head]
+        grads += [gc for _, _, gc in layer_grads if gc is not None]
         self._tapes = None
         return grads
 
@@ -300,14 +254,11 @@ def count_parameters(net: DilatedNet) -> int:
 class TrainSettings:
     learning_rate: float = 0.01
     batch_size: int = 32
-    coeff_learning_rate: float | None = None
     final_epochs: int = 30
 
     def __post_init__(self):
         if self.learning_rate <= 0 or self.batch_size < 1 or self.final_epochs < 1:
             raise ValueError("invalid training settings")
-        if self.coeff_learning_rate is not None and self.coeff_learning_rate <= 0:
-            raise ValueError("coeff_learning_rate must be > 0")
 
 
 class Trainer:
@@ -335,12 +286,7 @@ class Trainer:
     # -- candidate evaluation (genetic search callback) ---------------------
 
     def __call__(self, genome: DilationGenome, epochs: int, seed: int):
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        net = DilatedNet(self.net_spec, genome, rng)
-        train_loss = self._train_net(net, epochs, rng)
-        fitness, metrics = self._evaluate_net(net)
-        metrics["train_loss"] = train_loss
-        return fitness, metrics
+        return self.train_structure(genome, epochs, seed)[:2]
 
     # -- local search sessions ----------------------------------------------
 
@@ -351,18 +297,9 @@ class Trainer:
 
     def build_structure_net(self, structure, rng, pmf_kind: str = "abs") -> DilatedNet:
         """Fresh network for a finalized structure (genome or parallel)."""
-        if isinstance(structure, DilationGenome):
-            return DilatedNet(self.net_spec, structure, rng, pmf_kind)
-        if not isinstance(structure, ParallelStructure):
+        if not isinstance(structure, (DilationGenome, ParallelStructure)):
             raise TypeError(f"cannot build a net from {type(structure).__name__}")
-        net = DilatedNet(self.net_spec, structure.genome(), rng, pmf_kind)
-        branch_sets = {gi: layer.dilations for gi, layer in enumerate(structure.layers)}
-        coeffs = {
-            gi: np.asarray(layer.alphas, dtype=np.float64)
-            for gi, layer in enumerate(structure.layers)
-        }
-        net.set_branches(branch_sets, coefficients=coeffs)
-        return net
+        return DilatedNet(self.net_spec, structure, rng, pmf_kind)
 
     def train_structure(self, structure, epochs: int, seed: int):
         """Retrain a finalized structure from scratch; branch sets stay frozen,
@@ -384,13 +321,7 @@ class Trainer:
     def _train_net(self, net: DilatedNet, epochs: int, rng: np.random.Generator) -> float:
         data = self.data
         params = net.parameters()
-        overrides = None
-        if self.settings.coeff_learning_rate is not None:
-            overrides = [
-                self.settings.coeff_learning_rate if is_coeff else None
-                for is_coeff in net.coefficient_flags()
-            ]
-        opt = Adam(params, learning_rate=self.settings.learning_rate, lr_overrides=overrides)
+        opt = Adam(params, learning_rate=self.settings.learning_rate)
         n = data.train_x.shape[0]
         bs = min(self.settings.batch_size, n)
         last_epoch_loss = 0.0
@@ -447,8 +378,7 @@ class LocalSession:
         return self._net.branch_pmfs()
 
     def set_dilations(self, dilations) -> None:
-        self._net.clear_branches()
-        self._net.set_genome_dilations(dilations)
+        self._net.set_dilations(dilations)
 
     def evaluate(self):
         return self._trainer._evaluate_net(self._net)

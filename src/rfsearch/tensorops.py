@@ -243,12 +243,7 @@ def mse_loss(pred: np.ndarray, target: np.ndarray, mask=None):
 
 
 class Adam:
-    """In-place Adam with bias correction over a list of parameter arrays.
-
-    ``lr_overrides`` assigns a per-parameter learning rate (used to train
-    branch coefficients at their own rate); entries of None fall back to the
-    global rate.
-    """
+    """In-place Adam with bias correction over a list of parameter arrays."""
 
     def __init__(
         self,
@@ -257,17 +252,12 @@ class Adam:
         beta1: float = 0.9,
         beta2: float = 0.999,
         epsilon: float = 1e-8,
-        lr_overrides: list[float | None] | None = None,
     ):
         if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
             raise ValueError("betas must lie in [0, 1)")
         if epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
-        if lr_overrides is None:
-            lr_overrides = [None] * len(params)
-        elif len(lr_overrides) != len(params):
-            raise ValueError("lr_overrides must align with params")
-        self.lrs = [learning_rate if lr is None else float(lr) for lr in lr_overrides]
+        self.learning_rate = learning_rate
         self.beta1 = beta1
         self.beta2 = beta2
         self.epsilon = epsilon
@@ -290,4 +280,4 @@ class Adam:
             self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
             m_hat = self.m[i] / bc1
             v_hat = self.v[i] / bc2
-            p -= self.lrs[i] * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            p -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)

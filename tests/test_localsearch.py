@@ -164,6 +164,37 @@ class TestMultiDilatedForward:
         k = _kernel(rng, 2, 2, 2)
         with pytest.raises(ValueError):
             MultiDilatedLayerState(k, (1, 2, 3), np.array([1.0, 1.0]))
+        with pytest.raises(ValueError):  # a frozen layer has one branch
+            MultiDilatedLayerState(k, (1, 2), None)
+
+
+class TestFrozenSingleBranch:
+    """coefficients=None is a plain conv layer: one branch, alpha = 1."""
+
+    @pytest.mark.parametrize("mode", ["causal", "centered"])
+    def test_matches_plain_conv_bit_for_bit(self, rng, monkeypatch, mode):
+        from rfsearch import localsearch
+        from rfsearch.tensorops import dilated_conv1d_backward, dilated_conv1d_forward
+
+        def no_mixing(*args, **kwargs):
+            raise AssertionError("a frozen layer must not normalize coefficients")
+
+        monkeypatch.setattr(localsearch, "pmf", no_mixing)
+        monkeypatch.setattr(localsearch, "pmf_backward", no_mixing)
+        x = rng.standard_normal((2, 3, 20))
+        k = _kernel(rng, 4, 3, 3)
+        grad_out = rng.standard_normal((2, 4, 20))
+        state = MultiDilatedLayerState(k, (3,), None, padding_mode=mode)
+        assert np.array_equal(
+            multi_dilated_forward(x, state), dilated_conv1d_forward(x, k, 3, mode)
+        )
+        out, tape = multi_dilated_forward(x, state, want_tape=True)
+        ref_out, ref_tape = dilated_conv1d_forward(x, k, 3, mode, want_tape=True)
+        assert np.array_equal(out, ref_out)
+        gx, gw, gb, gc = multi_dilated_backward(tape, grad_out)
+        assert gc is None and tape.branch_outputs == []
+        for got, ref in zip((gx, gw, gb), dilated_conv1d_backward(ref_tape, grad_out)):
+            assert np.array_equal(got, ref)
 
 
 class TestMultiDilatedBackward:

@@ -32,9 +32,9 @@ def _copy_readout_net(num_symbols: int, dilation: int, scale: float = 25.0) -> D
         num_classes=num_symbols,
     )
     net = DilatedNet(spec, DilationGenome((dilation,)), np.random.default_rng(0))
-    net.kernels[0].weights[:] = 0.0
-    net.kernels[0].bias[:] = 0.0
-    net.kernels[0].weights[:, :, 0] = scale * np.eye(num_symbols)
+    net.layers[0].kernel.weights[:] = 0.0
+    net.layers[0].kernel.bias[:] = 0.0
+    net.layers[0].kernel.weights[:, :, 0] = scale * np.eye(num_symbols)
     net.head_kernel.weights[:] = np.eye(num_symbols)[:, :, None]
     net.head_kernel.bias[:] = 0.0
     return net
@@ -64,8 +64,8 @@ class TestLaggedCopy:
         )
         net = DilatedNet(net_spec, None, np.random.default_rng(0))
         # pass-through: identity conv + identity head
-        net.kernels[0].weights[:] = np.eye(4)[:, :, None] * 10.0
-        net.kernels[0].bias[:] = 0.0
+        net.layers[0].kernel.weights[:] = np.eye(4)[:, :, None] * 10.0
+        net.layers[0].kernel.bias[:] = 0.0
         net.head_kernel.weights[:] = np.eye(4)[:, :, None]
         net.head_kernel.bias[:] = 0.0
         acc = framewise_accuracy(net.forward(data.val_x), data.val_y, data.val_mask)

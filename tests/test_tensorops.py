@@ -301,13 +301,6 @@ class TestAdam:
         with pytest.raises(ValueError):
             Adam([np.zeros(1)], epsilon=0.0)
 
-    def test_per_parameter_learning_rate_override(self, rng):
-        params = [np.zeros(2), np.zeros(2)]
-        grads = [np.ones(2), np.ones(2)]
-        opt = Adam(params, learning_rate=0.1, lr_overrides=[None, 0.01])
-        opt.step(params, grads)
-        assert abs(params[0][0]) > abs(params[1][0])
-
 
 def test_init_kernel_bounds_and_determinism():
     rng1 = np.random.default_rng(3)
