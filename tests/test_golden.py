@@ -3,7 +3,13 @@ pinned in golden_digests.json.  Per seed: global search, train of its best
 genome, local --parallel search from that genome, train of the parallel
 structure.
 
-Criterion 9 checks that reruns agree within one tree; this test checks that a
+The pipeline's global stage writes accuracies only, which a small numeric
+change rarely moves, so a second record pins the repr of every loss and
+fitness of direct Trainer and LocalSession runs on fixed structures: a
+classifier on lagged_copy, and a regressor (mse_loss, one input and one
+output channel) on multiscale_sum's inputs.
+
+Criterion 9 checks that reruns agree within one tree; these tests check that a
 refactor leaves every pinned output byte-identical to the tree the digests
 were recorded from.  float64 results can move in the last digits with the
 numpy/BLAS build, so the record carries the build it was made with and a
@@ -24,6 +30,10 @@ from pathlib import Path
 import numpy as np
 
 from rfsearch.cli import main
+from rfsearch.genome import DilationGenome
+from rfsearch.localsearch import LocalConfig, ParallelLayer, ParallelStructure
+from rfsearch.network import LayerSpec, NetworkSpec, Trainer, TrainSettings
+from rfsearch.tasks import TaskData, TaskSpec, generate
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 SEEDS = (1, 2)
@@ -99,20 +109,74 @@ def run_pipeline(root: Path) -> dict[str, str]:
     return digests
 
 
-def test_outputs_match_golden_digests(tmp_path):
-    golden = json.loads(GOLDEN.read_text())
-    digests = run_pipeline(tmp_path)
-    moved = sorted(
-        name for name in golden["digests"] | digests
-        if golden["digests"].get(name) != digests.get(name)
+def _trainers() -> dict[str, Trainer]:
+    layers = (LayerSpec(2, 6), LayerSpec(1, 6, residual=True), LayerSpec(2, 6, residual=True))
+    settings = TrainSettings(learning_rate=0.02, batch_size=16)
+    copy = TaskSpec("lagged_copy", sequence_length=24, train_size=48, val_size=24,
+                    lag=3, num_symbols=4, seed=5)
+    classifier = Trainer(generate(copy), NetworkSpec(4, layers, 4), settings, seed=5)
+    # multiscale_sum's label code as a real-valued target: one input and one
+    # output channel, so both one-channel kernel cases and mse_loss run
+    ms = generate(TaskSpec("multiscale_sum", sequence_length=24, train_size=48,
+                           val_size=24, windows=(2, 6), seed=6))
+    data = TaskData(ms.train_x, ms.train_y[:, None, :] * 0.5, ms.train_mask,
+                    ms.val_x, ms.val_y[:, None, :] * 0.5, ms.val_mask, 1, 1)
+    regressor = Trainer(data, NetworkSpec(1, layers, 1, head="regressor"), settings,
+                        seed=6)
+    return {"lagged_copy": classifier, "multiscale_sum": regressor}
+
+
+def trainer_losses() -> dict[str, str]:
+    """SHA-256 of the repr of each run's fitness, train_loss and val_loss (and
+    branch PMFs), per task and structure."""
+    parallel = ParallelStructure((ParallelLayer((1, 2, 3), (0.5, 0.3, 0.2)),
+                                  ParallelLayer((2,), (1.0,))))
+    digests = {}
+    for task, trainer in _trainers().items():
+        runs = {}
+        structures = {"1-1": DilationGenome((1, 1)), "2-4": DilationGenome((2, 4)),
+                      "3-1": DilationGenome((3, 1)), "parallel": parallel}
+        for name, structure in structures.items():
+            fitness, metrics, _ = trainer.train_structure(structure, 2, 11)
+            runs[name] = (fitness, metrics["train_loss"], metrics["val_loss"])
+        # kernels persist across trainings while the branch set changes
+        session = trainer.local_session(DilationGenome((2, 2)), LocalConfig())
+        steps = []
+        for branches in ({0: (1, 2, 3)}, {0: (2, 3), 1: (1, 2, 3)}):
+            session.set_branches(branches, 1.0)
+            loss = session.train(2)
+            steps.append((loss, session.evaluate(),
+                          {k: p.tolist() for k, p in session.branch_pmfs().items()}))
+        runs["local_session"] = steps
+        for name, run in runs.items():
+            digests[f"{task}/{name}"] = hashlib.sha256(repr(run).encode()).hexdigest()
+    return digests
+
+
+def _moved(recorded: dict, digests: dict) -> list[str]:
+    return sorted(
+        name for name in recorded | digests if recorded.get(name) != digests.get(name)
     )
+
+
+def _why(golden: dict) -> str:
     build = build_info()
     if build == golden["build"]:
-        why = "the numpy/BLAS build is the recorded one, so the program changed them"
-    else:
-        why = (f"the numpy/BLAS build differs (recorded {golden['build']}, "
-               f"running {build}), which alone can move float64 bytes")
-    assert not moved, f"output bytes moved in {', '.join(moved)}; {why}"
+        return "the numpy/BLAS build is the recorded one, so the program changed them"
+    return (f"the numpy/BLAS build differs (recorded {golden['build']}, "
+            f"running {build}), which alone can move float64 bytes")
+
+
+def test_outputs_match_golden_digests(tmp_path):
+    golden = json.loads(GOLDEN.read_text())
+    moved = _moved(golden["digests"], run_pipeline(tmp_path))
+    assert not moved, f"output bytes moved in {', '.join(moved)}; {_why(golden)}"
+
+
+def test_trainer_losses_match_golden_digests():
+    golden = json.loads(GOLDEN.read_text())
+    moved = _moved(golden["loss_digests"], trainer_losses())
+    assert not moved, f"losses moved in {', '.join(moved)}; {_why(golden)}"
 
 
 if __name__ == "__main__":
@@ -122,6 +186,8 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         digests = run_pipeline(Path(tmp))
-    GOLDEN.write_text(json.dumps({"build": build_info(), "digests": digests},
+    losses = trainer_losses()
+    GOLDEN.write_text(json.dumps({"build": build_info(), "digests": digests,
+                                  "loss_digests": losses},
                                  indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(digests)} digests to {GOLDEN}")
+    print(f"wrote {len(digests)} + {len(losses)} digests to {GOLDEN}")
