@@ -2,7 +2,9 @@
 
 Each kernel loops over the taps in Python and does the channel contraction
 of one tap with one ``np.matmul`` (BLAS) on the in-range time slice, in the
-native (batch, channel, time) layout.
+native (batch, channel, time) layout.  With one channel on the contracted
+side the contraction is an outer product, and a broadcast multiply gives the
+same bits without the BLAS call.
 
 Conventions: arrays are float64, layout (batch, channel, time) for sequences
 and (out_channel, in_channel, tap) for weights.  ``offsets[j]`` is the signed
@@ -25,6 +27,7 @@ __all__ = [
 def conv1d_forward(x, w, b, offsets):
     B, Cin, T = x.shape
     Cout, _, K = w.shape
+    contract = np.multiply if Cin == 1 else np.matmul
     out = np.empty((B, Cout, T))
     out[:] = b[None, :, None]
     for j in range(K):
@@ -33,7 +36,7 @@ def conv1d_forward(x, w, b, offsets):
         hi = min(T, T - off)
         if lo >= hi:
             continue
-        out[:, :, lo:hi] += w[:, :, j] @ x[:, :, lo + off : hi + off]
+        out[:, :, lo:hi] += contract(w[:, :, j], x[:, :, lo + off : hi + off])
     return out
 
 
@@ -41,6 +44,7 @@ def conv1d_grad_input(grad_out, w, offsets):
     B, Cout, T = grad_out.shape
     Cin = w.shape[1]
     K = offsets.shape[0]
+    contract = np.multiply if Cout == 1 else np.matmul
     gx = np.zeros((B, Cin, T))
     for j in range(K):
         off = int(offsets[j])
@@ -48,7 +52,7 @@ def conv1d_grad_input(grad_out, w, offsets):
         hi = min(T, T - off)
         if lo >= hi:
             continue
-        gx[:, :, lo + off : hi + off] += w[:, :, j].T @ grad_out[:, :, lo:hi]
+        gx[:, :, lo + off : hi + off] += contract(w[:, :, j].T, grad_out[:, :, lo:hi])
     return gx
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -284,7 +283,12 @@ def run_global_search(
     cache: dict[tuple[int, ...], EvalRecord] = {}
     next_id = 0
     logs = _Logs(log_dir, cfg, kernel_sizes) if log_dir is not None else None
-    pool_executor = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
+    pool_executor = None
+    if jobs > 1:
+        # imported here: it loads multiprocessing, which --jobs 1 never uses
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool_executor = ProcessPoolExecutor(max_workers=jobs)
 
     def eval_batch(genomes):
         nonlocal next_id

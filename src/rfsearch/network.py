@@ -33,6 +33,7 @@ from .tensorops import (
     TrainingDiverged,
     dilated_conv1d_backward,
     dilated_conv1d_forward,
+    flat_views,
     init_kernel,
     mse_loss,
     relu,
@@ -185,15 +186,29 @@ class DilatedNet:
 
     # -- parameters --------------------------------------------------------
 
-    def parameters(self) -> list[np.ndarray]:
-        """Kernel weights and bias per layer, then the head's, then the
-        coefficients of each layer in branch mode."""
-        params = []
+    def _parameter_slots(self):
+        """(owner, attribute) of each parameter: kernel weights and bias per
+        layer, then the head's, then the coefficients of each layer in
+        branch mode."""
+        for kernel in [s.kernel for s in self.layers] + [self.head_kernel]:
+            yield kernel, "weights"
+            yield kernel, "bias"
         for state in self.layers:
-            params += [state.kernel.weights, state.kernel.bias]
-        params += [self.head_kernel.weights, self.head_kernel.bias]
-        params += [s.coefficients for s in self.layers if s.coefficients is not None]
-        return params
+            if state.coefficients is not None:
+                yield state, "coefficients"
+
+    def parameters(self) -> list[np.ndarray]:
+        return [getattr(owner, name) for owner, name in self._parameter_slots()]
+
+    def flatten_parameters(self) -> None:
+        """Copy every parameter into one float64 buffer, in ``parameters()``
+        order, and rebind each as a view of it, so that Adam updates them
+        all in one pass.  ``set_branches`` changes the parameter set, so
+        each training flattens again."""
+        slots = list(self._parameter_slots())
+        _, views = flat_views([getattr(owner, name) for owner, name in slots])
+        for (owner, name), view in zip(slots, views):
+            setattr(owner, name, view)
 
     # -- forward / backward -------------------------------------------------
 
@@ -203,10 +218,11 @@ class DilatedNet:
         for state, lspec in zip(self.layers, self.spec.layers):
             if train:
                 z, tape = multi_dilated_forward(h, state, want_tape=True)
-                tapes.append((tape, z))
             else:
                 z = multi_dilated_forward(h, state)
-            a = relu(z)
+            a = relu(z, out=z)  # z is a fresh array that nothing else holds
+            if train:
+                tapes.append((tape, a))
             h = a + h if lspec.residual else a
         if train:
             logits, head_tape = dilated_conv1d_forward(
@@ -227,8 +243,8 @@ class DilatedNet:
         tapes, head_tape = self._tapes
         g, gw_head, gb_head = dilated_conv1d_backward(head_tape, grad_logits)
         layer_grads = []
-        for (tape, z), lspec in zip(reversed(tapes), reversed(self.spec.layers)):
-            gx, gw, gb, gc = multi_dilated_backward(tape, relu_backward(z, g))
+        for (tape, a), lspec in zip(reversed(tapes), reversed(self.spec.layers)):
+            gx, gw, gb, gc = multi_dilated_backward(tape, relu_backward(a, g))
             layer_grads.append((gw, gb, gc))
             g = gx + g if lspec.residual else gx
         layer_grads.reverse()
@@ -313,13 +329,14 @@ class Trainer:
 
     # -- internals ------------------------------------------------------------
 
-    def _loss(self, output, targets, mask):
+    def _loss(self, output, targets, mask, want_grad: bool = True):
         if self.net_spec.head == "classifier":
-            return softmax_nll_loss(output, targets, mask)
-        return mse_loss(output, targets, mask)
+            return softmax_nll_loss(output, targets, mask, want_grad)
+        return mse_loss(output, targets, mask, want_grad)
 
     def _train_net(self, net: DilatedNet, epochs: int, rng: np.random.Generator) -> float:
         data = self.data
+        net.flatten_parameters()
         params = net.parameters()
         opt = Adam(params, learning_rate=self.settings.learning_rate)
         n = data.train_x.shape[0]
@@ -345,7 +362,7 @@ class Trainer:
     def _evaluate_net(self, net: DilatedNet):
         data = self.data
         out = net.forward(data.val_x)
-        loss, _ = self._loss(out, data.val_y, data.val_mask)
+        loss = self._loss(out, data.val_y, data.val_mask, want_grad=False)
         if self.net_spec.head == "classifier":
             acc = framewise_accuracy(out, data.val_y, data.val_mask)
             return acc, {"val_accuracy": acc, "val_loss": loss}

@@ -21,6 +21,7 @@ __all__ = [
     "ConvKernel",
     "ConvTape",
     "Adam",
+    "flat_views",
     "WORST_FITNESS",
     "init_kernel",
     "tap_offsets",
@@ -169,12 +170,17 @@ def dilated_conv1d_backward(tape: ConvTape, grad_out: np.ndarray):
     return grad_x, grad_w, grad_b
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """max(x, 0); ``out=x`` activates in place when the caller owns x."""
+    return np.maximum(x, 0.0, out=out)
 
 
 def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    return np.where(x > 0.0, grad_out, 0.0)
+    """grad_out where x > 0, else zero.  x may be the input or the output of
+    relu, since relu(z) > 0 exactly where z > 0.  A mask multiply: an
+    inactive unit gives -0.0 for a negative gradient and NaN for an infinite
+    one."""
+    return grad_out * (x > 0.0)
 
 
 def _normalize_mask(mask, shape):
@@ -186,12 +192,14 @@ def _normalize_mask(mask, shape):
     return mask
 
 
-def softmax_nll_loss(logits: np.ndarray, targets: np.ndarray, mask=None):
+def softmax_nll_loss(logits: np.ndarray, targets: np.ndarray, mask=None,
+                     want_grad: bool = True):
     """Mean per-frame negative log softmax probability over unmasked frames.
 
     logits: (batch, class, time); targets: integer (batch, time);
     mask: optional boolean (batch, time), True = counted.
-    Returns (loss, grad_logits) with the exact gradient.
+    Returns (loss, grad_logits) with the exact gradient, or the loss alone
+    when ``want_grad`` is False.
     """
     logits = _as_seq_batch(logits, "logits")
     targets = np.asarray(targets)
@@ -207,22 +215,29 @@ def softmax_nll_loss(logits: np.ndarray, targets: np.ndarray, mask=None):
     if count == 0:
         raise ValueError("mask selects no frames")
 
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_p = shifted - log_z  # (B, C, T)
-    picked = np.take_along_axis(log_p, targets[:, None, :], axis=1)[:, 0, :]
+    log_p = logits - logits.max(axis=1, keepdims=True)
+    log_p -= np.log(np.exp(log_p).sum(axis=1, keepdims=True))  # (B, C, T)
+    picks = targets[:, None, :]
+    picked = np.take_along_axis(log_p, picks, axis=1)[:, 0, :]
     loss = -float(picked[mask].sum()) / count
+    if not want_grad:
+        return loss
 
-    grad = np.exp(log_p)
-    b_idx, t_idx = np.nonzero(mask)
-    onehot = np.zeros_like(grad)
-    onehot[b_idx, targets[b_idx, t_idx], t_idx] = 1.0
-    grad = (grad - onehot) * mask[:, None, :] / count
+    # (softmax - onehot) * mask / count, rounded as written: subtracting the
+    # mask (not 1) at the targets keeps masked frames at +0.0
+    grad = np.exp(log_p, out=log_p)
+    frames = mask[:, None, :]
+    grad *= frames
+    np.put_along_axis(grad, picks, np.take_along_axis(grad, picks, axis=1) - frames, axis=1)
+    grad /= count
     return loss, grad
 
 
-def mse_loss(pred: np.ndarray, target: np.ndarray, mask=None):
-    """Mean squared error over unmasked frames (all channels of a frame count)."""
+def mse_loss(pred: np.ndarray, target: np.ndarray, mask=None, want_grad: bool = True):
+    """Mean squared error over unmasked frames (all channels of a frame count).
+
+    Returns (loss, grad_pred), or the loss alone when ``want_grad`` is False.
+    """
     pred = _as_seq_batch(pred, "pred")
     target = _as_seq_batch(target, "target")
     if pred.shape != target.shape:
@@ -231,10 +246,14 @@ def mse_loss(pred: np.ndarray, target: np.ndarray, mask=None):
     count = int(mask.sum()) * pred.shape[1]
     if count == 0:
         raise ValueError("mask selects no frames")
-    diff = (pred - target) * mask[:, None, :]
+    diff = pred - target
+    diff *= mask[:, None, :]
     loss = float((diff * diff).sum()) / count
-    grad = 2.0 * diff / count
-    return loss, grad
+    if not want_grad:
+        return loss
+    diff *= 2.0
+    diff /= count
+    return loss, diff
 
 
 # --------------------------------------------------------------------------
@@ -242,8 +261,41 @@ def mse_loss(pred: np.ndarray, target: np.ndarray, mask=None):
 # --------------------------------------------------------------------------
 
 
+def flat_views(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Copy ``arrays`` into one new float64 buffer, in order; return the buffer
+    and one view of it per array, with that array's shape."""
+    flat = np.concatenate(arrays, axis=None)
+    views = []
+    start = 0
+    for a in arrays:
+        views.append(flat[start : start + a.size].reshape(a.shape))
+        start += a.size
+    return flat, views
+
+
+def _shared_buffer(params: list[np.ndarray]) -> np.ndarray | None:
+    """The float64 buffer that ``params`` tile in order as contiguous views
+    (as ``flat_views`` makes them), or None."""
+    base = params[0].base if params else None
+    if base is None or base.ndim != 1 or base.dtype != np.float64:
+        return None
+    at = base.ctypes.data
+    for p in params:
+        if p.base is not base or not p.flags.c_contiguous or p.ctypes.data != at:
+            return None
+        at += p.nbytes
+    return base if at == base.ctypes.data + base.nbytes else None
+
+
 class Adam:
-    """In-place Adam with bias correction over a list of parameter arrays."""
+    """In-place Adam with bias correction over a list of parameter arrays.
+
+    The moments and the gradient are flat float64 vectors in parameter order,
+    so a step is one pass of in-place ufuncs over every parameter at once.
+    When the parameters it is built with tile one buffer (``flat_views``),
+    each step updates that buffer, so they must stay bound to it; otherwise a
+    step writes each parameter's slice back.
+    """
 
     def __init__(
         self,
@@ -261,23 +313,49 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.epsilon = epsilon
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self._ends = np.cumsum([p.size for p in params], dtype=np.int64)
+        size = int(self._ends[-1]) if params else 0
+        self._flat = _shared_buffer(params)
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self._grad = np.empty(size)
+        self._update = np.empty(size)
+        self._scratch = np.empty(size)
         self.steps = 0
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        if len(params) != len(self.m):
+        if len(params) != len(self._ends):
             raise ValueError("parameter list changed size under the optimizer")
         self.steps += 1
-        bc1 = 1.0 - self.beta1**self.steps
-        bc2 = 1.0 - self.beta2**self.steps
         for i, (p, g) in enumerate(zip(params, grads)):
             if p.shape != g.shape:
                 raise ValueError(f"param {i}: shape {p.shape} != grad shape {g.shape}")
-            if not np.isfinite(g).all():
-                raise TrainingDiverged(f"non-finite gradient for parameter {i}")
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[i] / bc1
-            v_hat = self.v[i] / bc2
-            p -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+        g = np.concatenate(grads, axis=None, out=self._grad)
+        finite = np.isfinite(g)
+        if not finite.all():
+            first = int(np.argmin(finite))
+            i = int(np.searchsorted(self._ends, first, side="right"))
+            raise TrainingDiverged(f"non-finite gradient for parameter {i}")
+        b1, b2 = self.beta1, self.beta2
+        bc1 = 1.0 - b1**self.steps
+        bc2 = 1.0 - b2**self.steps
+        m, v, u, s = self.m, self.v, self._update, self._scratch
+        # m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*g*g, in place
+        m *= b1
+        m += np.multiply(g, 1.0 - b1, out=u)
+        v *= b2
+        np.multiply(g, 1.0 - b2, out=u)
+        u *= g
+        v += u
+        # u = lr * m_hat / (sqrt(v_hat) + eps), m_hat = m/bc1, v_hat = v/bc2
+        np.divide(m, bc1, out=u)
+        u *= self.learning_rate
+        np.divide(v, bc2, out=s)
+        np.sqrt(s, out=s)
+        s += self.epsilon
+        u /= s
+        if self._flat is not None:
+            self._flat -= u
+            return
+        for p, end in zip(params, self._ends):
+            p -= u[end - p.size : end].reshape(p.shape)

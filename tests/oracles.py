@@ -49,3 +49,41 @@ def max_rel_error(analytic, numeric, floor=1e-6):
     numeric = np.asarray(numeric, dtype=np.float64)
     denom = np.maximum(floor, np.maximum(np.abs(analytic), np.abs(numeric)))
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def where_relu_backward(x, grad_out):
+    """ReLU adjoint by selection: grad_out where x > 0, else +0.0."""
+    return np.where(x > 0.0, grad_out, 0.0)
+
+
+def onehot_softmax_nll(logits, targets, mask):
+    """Masked mean NLL and its gradient (p - onehot) * mask / count, with the
+    one-hot array built by a loop over the counted frames."""
+    B, C, T = logits.shape
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    picked = np.take_along_axis(log_p, targets[:, None, :], axis=1)[:, 0, :]
+    count = int(mask.sum())
+    loss = -float(picked[mask].sum()) / count
+    onehot = np.zeros_like(logits)
+    for b in range(B):
+        for t in range(T):
+            if mask[b, t]:
+                onehot[b, targets[b, t], t] = 1.0
+    return loss, (np.exp(log_p) - onehot) * mask[:, None, :] / count
+
+
+def per_array_adam(params, grad_steps, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam with bias correction, one array at a time, with fresh temporaries;
+    returns the final params and moments (copies)."""
+    params = [p.copy() for p in params]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for step, grads in enumerate(grad_steps, start=1):
+        bc1 = 1.0 - beta1**step
+        bc2 = 1.0 - beta2**step
+        for i, g in enumerate(grads):
+            m[i] = beta1 * m[i] + (1.0 - beta1) * g
+            v[i] = beta2 * v[i] + (1.0 - beta2) * g * g
+            params[i] = params[i] - lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + eps)
+    return params, m, v

@@ -87,3 +87,26 @@ def test_kernels_take_views_and_return_fresh_arrays(rng, mode):
         for a in (x, w, b, go, offsets):
             assert not np.shares_memory(got, a)
         np.testing.assert_allclose(got, contiguous, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "B,Cin,Cout,T,K,d,mode", [c for c in CASES if c[1] == 1 or c[2] == 1]
+)
+def test_one_channel_contraction_matches_matmul_bit_for_bit(rng, B, Cin, Cout, T, K, d, mode):
+    # With Cin = 1 (forward) or Cout = 1 (grad_input) the kernels multiply
+    # instead of calling matmul; each tap's matmul is then an outer product.
+    x, w, b = _random_case(rng, B, Cin, Cout, T, K)
+    go = rng.standard_normal((B, Cout, T))
+    offsets = tap_offsets(K, d, mode)
+    out = np.empty((B, Cout, T))
+    out[:] = b[None, :, None]
+    gx = np.zeros((B, Cin, T))
+    for j, off in enumerate(int(o) for o in offsets):
+        lo, hi = max(0, -off), min(T, T - off)
+        if lo < hi:
+            out[:, :, lo:hi] += w[:, :, j] @ x[:, :, lo + off : hi + off]
+            gx[:, :, lo + off : hi + off] += w[:, :, j].T @ go[:, :, lo:hi]
+    got_out = _kernels.conv1d_forward(x, w, b, offsets)
+    got_gx = _kernels.conv1d_grad_input(go, w, offsets)
+    assert np.array_equal(got_out.view(np.int64), out.view(np.int64))
+    assert np.array_equal(got_gx.view(np.int64), gx.view(np.int64))

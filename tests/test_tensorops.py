@@ -1,13 +1,21 @@
 import numpy as np
 import pytest
 
-from oracles import central_difference, max_rel_error, naive_dilated_conv1d
+from oracles import (
+    central_difference,
+    max_rel_error,
+    naive_dilated_conv1d,
+    onehot_softmax_nll,
+    per_array_adam,
+    where_relu_backward,
+)
 from rfsearch.tensorops import (
     Adam,
     ConvKernel,
     TrainingDiverged,
     dilated_conv1d_backward,
     dilated_conv1d_forward,
+    flat_views,
     init_kernel,
     mse_loss,
     relu,
@@ -172,6 +180,48 @@ def test_relu_backward_matches_finite_differences():
     assert max_rel_error(grad, central_difference(loss, x)) < 1e-6
 
 
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+class TestReluBitForBit:
+    def test_backward_matches_selection_up_to_the_sign_of_zero(self, rng):
+        # x holds exact zeros of both signs; the gradient is negative at some
+        # inactive units, where the mask multiply gives -0.0 and np.where +0.0
+        x = rng.standard_normal((4, 5, 32))
+        x[:, :, ::7] = 0.0
+        x[:, :, 3::11] = -0.0
+        g = rng.standard_normal(x.shape)
+        g[:, 0, :] = 0.0
+        got = relu_backward(x, g)
+        want = where_relu_backward(x, g)
+        assert np.array_equal(_bits(got + 0.0), _bits(want))
+        signed = _bits(got) != _bits(want)
+        assert signed.any()
+        assert np.all((got[signed] == 0.0) & (g[signed] < 0.0) & ~(x[signed] > 0.0))
+
+    def test_backward_from_the_activation_equals_from_the_input(self, rng):
+        z = rng.standard_normal((3, 4, 20))
+        z[:, :, ::5] = 0.0
+        g = rng.standard_normal(z.shape)
+        a = relu(z)
+        assert np.array_equal(_bits(relu_backward(a, g)), _bits(relu_backward(z, g)))
+
+    def test_in_place_forward(self, rng):
+        z = rng.standard_normal((2, 3, 16))
+        want = np.maximum(z, 0.0)
+        a = relu(z, out=z)
+        assert a is z
+        assert np.array_equal(_bits(a), _bits(want))
+
+    def test_non_finite_gradient_at_an_inactive_unit_propagates(self):
+        x = np.array([-1.0, 0.0, 2.0])
+        g = np.array([np.inf, np.nan, 1.0])
+        with np.errstate(invalid="ignore"):
+            out = relu_backward(x, g)
+        assert np.isnan(out[0]) and np.isnan(out[1]) and out[2] == 1.0
+
+
 # ---------------------------------------------------------------------------
 # losses
 # ---------------------------------------------------------------------------
@@ -229,6 +279,37 @@ class TestSoftmaxNLL:
         targets = np.zeros((1, 4), dtype=np.int64)
         with pytest.raises(ValueError):
             softmax_nll_loss(logits, targets, np.zeros((1, 4), dtype=bool))
+
+
+@pytest.mark.parametrize("B,C,T,masked", [(2, 4, 9, True), (3, 8, 64, True),
+                                           (1, 2, 5, False), (4, 3, 17, True)])
+def test_softmax_nll_matches_onehot_reference_bit_for_bit(B, C, T, masked):
+    rng = np.random.default_rng(B * 100 + T)
+    logits = rng.standard_normal((B, C, T)) * 3.0
+    targets = rng.integers(0, C, size=(B, T))
+    mask = rng.random((B, T)) < 0.6 if masked else np.ones((B, T), dtype=bool)
+    mask[0, 0] = True
+    loss, grad = softmax_nll_loss(logits, targets, mask if masked else None)
+    want_loss, want_grad = onehot_softmax_nll(logits, targets, mask)
+    assert np.array_equal(_bits(loss), _bits(want_loss))
+    assert np.array_equal(_bits(grad), _bits(want_grad))
+    assert np.all(_bits(grad.transpose(0, 2, 1)[~mask]) == 0)  # masked frames: +0.0
+    only = softmax_nll_loss(logits, targets, mask if masked else None, want_grad=False)
+    assert np.array_equal(_bits(only), _bits(loss))
+
+
+def test_mse_loss_matches_written_form_bit_for_bit():
+    rng = np.random.default_rng(14)
+    pred = rng.standard_normal((3, 2, 11))
+    target = rng.standard_normal((3, 2, 11))
+    mask = rng.random((3, 11)) < 0.7
+    mask[0, 0] = True
+    count = int(mask.sum()) * 2
+    diff = (pred - target) * mask[:, None, :]
+    loss, grad = mse_loss(pred, target, mask)
+    assert np.array_equal(_bits(loss), _bits(float((diff * diff).sum()) / count))
+    assert np.array_equal(_bits(grad), _bits(2.0 * diff / count))
+    assert np.array_equal(_bits(mse_loss(pred, target, mask, want_grad=False)), _bits(loss))
 
 
 def test_mse_loss_gradient_matches_finite_differences():
@@ -292,6 +373,40 @@ class TestAdam:
         opt = Adam(params)
         with pytest.raises(ValueError):
             opt.step(params, [np.zeros(4)])
+
+    @pytest.mark.parametrize("flat", [False, True])
+    def test_matches_per_array_reference_bit_for_bit(self, rng, flat):
+        shapes = [(4, 3, 2), (4,), (1,), (2, 5), (3,)]
+        start = [rng.standard_normal(s) for s in shapes]
+        steps = [[rng.standard_normal(s) * 10.0**k for s in shapes] for k in range(-2, 3)]
+        steps[1][2][:] = 0.0
+        want, want_m, want_v = per_array_adam(start, steps, lr=0.03)
+        if flat:
+            buffer, params = flat_views(start)
+        else:
+            params = [p.copy() for p in start]
+        opt = Adam(params, learning_rate=0.03)
+        for grads in steps:
+            opt.step(params, grads)
+        for p, w in zip(params, want):
+            assert np.array_equal(_bits(p), _bits(w))
+        assert np.array_equal(_bits(opt.m), _bits(np.concatenate(want_m, axis=None)))
+        assert np.array_equal(_bits(opt.v), _bits(np.concatenate(want_v, axis=None)))
+        assert (opt._flat is buffer) if flat else (opt._flat is None)  # update path taken
+
+    @pytest.mark.parametrize("bad", [0, 1, 2, 3])
+    @pytest.mark.parametrize("at", [0, -1])
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_non_finite_gradient_names_its_parameter(self, bad, at, value):
+        shapes = [(2, 3), (1,), (4,), (2, 1, 2)]
+        _, params = flat_views([np.ones(s) for s in shapes])
+        grads = [np.zeros(s) for s in shapes]
+        grads[bad].flat[at] = value
+        grads[-1].flat[-1] = np.nan  # a later parameter's NaN is not the one named
+        opt = Adam(params)
+        with pytest.raises(TrainingDiverged, match=rf"non-finite gradient for parameter {bad}$"):
+            opt.step(params, grads)
+        assert all(np.array_equal(p, np.ones(p.shape)) for p in params)
 
     def test_invalid_hyperparameters_rejected(self):
         with pytest.raises(ValueError):
