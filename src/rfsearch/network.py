@@ -33,7 +33,6 @@ from .tensorops import (
     TrainingDiverged,
     dilated_conv1d_backward,
     dilated_conv1d_forward,
-    flat_views,
     init_kernel,
     mse_loss,
     relu,
@@ -186,29 +185,15 @@ class DilatedNet:
 
     # -- parameters --------------------------------------------------------
 
-    def _parameter_slots(self):
-        """(owner, attribute) of each parameter: kernel weights and bias per
-        layer, then the head's, then the coefficients of each layer in
-        branch mode."""
-        for kernel in [s.kernel for s in self.layers] + [self.head_kernel]:
-            yield kernel, "weights"
-            yield kernel, "bias"
-        for state in self.layers:
-            if state.coefficients is not None:
-                yield state, "coefficients"
-
     def parameters(self) -> list[np.ndarray]:
-        return [getattr(owner, name) for owner, name in self._parameter_slots()]
-
-    def flatten_parameters(self) -> None:
-        """Copy every parameter into one float64 buffer, in ``parameters()``
-        order, and rebind each as a view of it, so that Adam updates them
-        all in one pass.  ``set_branches`` changes the parameter set, so
-        each training flattens again."""
-        slots = list(self._parameter_slots())
-        _, views = flat_views([getattr(owner, name) for owner, name in slots])
-        for (owner, name), view in zip(slots, views):
-            setattr(owner, name, view)
+        """Kernel weights and bias per layer, then the head's, then the
+        coefficients of each layer in branch mode."""
+        params = []
+        for state in self.layers:
+            params += [state.kernel.weights, state.kernel.bias]
+        params += [self.head_kernel.weights, self.head_kernel.bias]
+        params += [s.coefficients for s in self.layers if s.coefficients is not None]
+        return params
 
     # -- forward / backward -------------------------------------------------
 
@@ -336,7 +321,6 @@ class Trainer:
 
     def _train_net(self, net: DilatedNet, epochs: int, rng: np.random.Generator) -> float:
         data = self.data
-        net.flatten_parameters()
         params = net.parameters()
         opt = Adam(params, learning_rate=self.settings.learning_rate)
         n = data.train_x.shape[0]

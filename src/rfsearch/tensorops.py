@@ -261,40 +261,12 @@ def mse_loss(pred: np.ndarray, target: np.ndarray, mask=None, want_grad: bool = 
 # --------------------------------------------------------------------------
 
 
-def flat_views(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Copy ``arrays`` into one new float64 buffer, in order; return the buffer
-    and one view of it per array, with that array's shape."""
-    flat = np.concatenate(arrays, axis=None)
-    views = []
-    start = 0
-    for a in arrays:
-        views.append(flat[start : start + a.size].reshape(a.shape))
-        start += a.size
-    return flat, views
-
-
-def _shared_buffer(params: list[np.ndarray]) -> np.ndarray | None:
-    """The float64 buffer that ``params`` tile in order as contiguous views
-    (as ``flat_views`` makes them), or None."""
-    base = params[0].base if params else None
-    if base is None or base.ndim != 1 or base.dtype != np.float64:
-        return None
-    at = base.ctypes.data
-    for p in params:
-        if p.base is not base or not p.flags.c_contiguous or p.ctypes.data != at:
-            return None
-        at += p.nbytes
-    return base if at == base.ctypes.data + base.nbytes else None
-
-
 class Adam:
     """In-place Adam with bias correction over a list of parameter arrays.
 
     The moments and the gradient are flat float64 vectors in parameter order,
-    so a step is one pass of in-place ufuncs over every parameter at once.
-    When the parameters it is built with tile one buffer (``flat_views``),
-    each step updates that buffer, so they must stay bound to it; otherwise a
-    step writes each parameter's slice back.
+    so a step is one pass of in-place ufuncs over every parameter at once;
+    then each parameter takes its slice of the update.
     """
 
     def __init__(
@@ -315,7 +287,6 @@ class Adam:
         self.epsilon = epsilon
         self._ends = np.cumsum([p.size for p in params], dtype=np.int64)
         size = int(self._ends[-1]) if params else 0
-        self._flat = _shared_buffer(params)
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self._grad = np.empty(size)
@@ -354,8 +325,5 @@ class Adam:
         np.sqrt(s, out=s)
         s += self.epsilon
         u /= s
-        if self._flat is not None:
-            self._flat -= u
-            return
         for p, end in zip(params, self._ends):
             p -= u[end - p.size : end].reshape(p.shape)

@@ -263,27 +263,6 @@ class TestParallelParameterAccounting:
         assert len(net.parameters()) == plain and net.branch_pmfs() == {}
         assert [state.dilations for state in net.layers] == [(2,), (1,), (4,)]
 
-    def test_flatten_parameters_rebinds_views_of_one_buffer(self, rng):
-        net = DilatedNet(SPEC, DilationGenome((2, 4)), rng)
-        net.set_branches({0: (1, 2, 3)})
-        before = [p.copy() for p in net.parameters()]
-        net.flatten_parameters()
-        params = net.parameters()
-        buffer = params[0].base
-        assert buffer.size == sum(p.size for p in before)
-        assert np.array_equal(np.concatenate(before, axis=None), buffer)
-        assert all(p.base is buffer for p in params)
-        assert params[-1] is net.layers[0].coefficients
-        assert params[0] is net.layers[0].kernel.weights
-        # a later branch switch adds a coefficient array outside the buffer;
-        # flattening again takes it in, and kernels keep their values
-        net.set_branches({1: (3, 4, 5)})
-        net.flatten_parameters()
-        again = net.parameters()
-        assert len(again) == len(params) + 1
-        assert all(p.base is again[0].base for p in again)
-        assert np.array_equal(again[0], before[0])
-
     def test_structure_net_initializes_coefficients_from_alphas(self):
         rng = np.random.default_rng(10)
         data = _tiny_data(rng)
