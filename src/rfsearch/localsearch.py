@@ -132,51 +132,46 @@ class MultiDilatedLayerState:
 class MultiDilatedTape:
     state: MultiDilatedLayerState
     branch_tapes: list
-    branch_outputs: list
     alpha: np.ndarray | None
 
 
-def multi_dilated_forward(x: np.ndarray, state: MultiDilatedLayerState, want_tape: bool = False):
-    """Weighted branch sum: sum_i alpha_i * conv(x, kernel, d_i)."""
+def multi_dilated_forward(x: np.ndarray, state: MultiDilatedLayerState):
+    """Weighted branch sum, sum_i alpha_i * conv(x, kernel, d_i); returns
+    (output, tape)."""
     if state.coefficients is None:  # frozen: the one branch, unscaled
-        out = dilated_conv1d_forward(
-            x, state.kernel, state.dilations[0], state.padding_mode, want_tape
+        out, tape = dilated_conv1d_forward(
+            x, state.kernel, state.dilations[0], state.padding_mode
         )
-        return (out[0], MultiDilatedTape(state, [out[1]], [], None)) if want_tape else out
+        return out, MultiDilatedTape(state, [tape], None)
     alpha = state.alpha()
     out = None
     tapes = []
-    branch_outs = []
     for a, d in zip(alpha, state.dilations):
-        if want_tape:
-            y, tape = dilated_conv1d_forward(
-                x, state.kernel, d, state.padding_mode, want_tape=True
-            )
-            tapes.append(tape)
-            branch_outs.append(y)
-        else:
-            y = dilated_conv1d_forward(x, state.kernel, d, state.padding_mode)
+        y, tape = dilated_conv1d_forward(x, state.kernel, d, state.padding_mode)
+        tapes.append(tape)
         out = a * y if out is None else out + a * y
-    if want_tape:
-        return out, MultiDilatedTape(state, tapes, branch_outs, alpha)
-    return out
+    return out, MultiDilatedTape(state, tapes, alpha)
 
 
 def multi_dilated_backward(tape: MultiDilatedTape, grad_out: np.ndarray):
     """Exact adjoints: (grad_x, grad_weights, grad_bias, grad_coefficients);
-    grad_coefficients is None for a frozen single branch."""
+    grad_coefficients is None for a frozen single branch.
+
+    Branch i's output is conv(x, W, d_i) + b, linear in (W, b), so
+    <grad_out, y_i> = <W, gw_i> + <b, gb_i> from the branch's own weight and
+    bias gradients: no branch output is kept for the coefficient gradient.
+    """
     grad_out = np.asarray(grad_out, dtype=np.float64)
     if tape.alpha is None:
         return (*dilated_conv1d_backward(tape.branch_tapes[0], grad_out), None)
+    kernel = tape.state.kernel
     grad_x = None
     grad_w = None
     grad_b = None
     grad_alpha = np.empty(len(tape.branch_tapes))
-    for i, (a, btape, bout) in enumerate(
-        zip(tape.alpha, tape.branch_tapes, tape.branch_outputs)
-    ):
+    for i, (a, btape) in enumerate(zip(tape.alpha, tape.branch_tapes)):
         gx, gw, gb = dilated_conv1d_backward(btape, grad_out)
-        grad_alpha[i] = float((grad_out * bout).sum())
+        grad_alpha[i] = float(np.vdot(kernel.weights, gw)) + float(np.dot(kernel.bias, gb))
         if grad_x is None:
             grad_x, grad_w, grad_b = a * gx, a * gw, a * gb
         else:

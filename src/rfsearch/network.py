@@ -198,27 +198,20 @@ class DilatedNet:
     # -- forward / backward -------------------------------------------------
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+        """Logits; with ``train``, keeps the tapes that ``backward`` reads."""
         tapes = []
         h = np.asarray(x, dtype=np.float64)
         for state, lspec in zip(self.layers, self.spec.layers):
-            if train:
-                z, tape = multi_dilated_forward(h, state, want_tape=True)
-            else:
-                z = multi_dilated_forward(h, state)
+            z, tape = multi_dilated_forward(h, state)
             a = relu(z, out=z)  # z is a fresh array that nothing else holds
             if train:
                 tapes.append((tape, a))
+            del tape  # at evaluation, frees this layer's input before the next runs
             h = a + h if lspec.residual else a
-        if train:
-            logits, head_tape = dilated_conv1d_forward(
-                h, self.head_kernel, 1, self.spec.padding_mode, want_tape=True
-            )
-            self._tapes = (tapes, head_tape)
-        else:
-            logits = dilated_conv1d_forward(
-                h, self.head_kernel, 1, self.spec.padding_mode
-            )
-            self._tapes = None
+        logits, head_tape = dilated_conv1d_forward(
+            h, self.head_kernel, 1, self.spec.padding_mode
+        )
+        self._tapes = (tapes, head_tape) if train else None
         return logits
 
     def backward(self, grad_logits: np.ndarray) -> list[np.ndarray]:

@@ -25,20 +25,17 @@ class SurrogateFitness:
     """Deterministic fitness with a unique maximum at ``target``.
 
     fitness(g) = -sum_l (log2 g_l - log2 t_l)^2, maximized (at 0) exactly at
-    the target.  With ``deceptive`` set, a second, lower peak with a wider
-    basin is added at ``decoy`` to create a local optimum.
+    the target.  A given ``decoy`` adds a second, lower peak with a wider
+    basin there, to create a local optimum.
     """
 
     target: tuple[int, ...]
-    deceptive: bool = False
     decoy: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if not self.target or min(self.target) < 1:
             raise ValueError(f"target must be a non-empty genome of dilations >= 1, "
                              f"got {self.target}")
-        if self.deceptive and self.decoy is None:
-            raise ValueError("deceptive surrogate needs a decoy genome")
         if self.decoy is not None and (
             len(self.decoy) != len(self.target) or min(self.decoy) < 1
         ):
@@ -57,7 +54,7 @@ class SurrogateFitness:
                 f"genome length {len(dil)} does not match target length {len(self.target)}"
             )
         value = -self._log_dist(dil, self.target)
-        if self.deceptive:
+        if self.decoy is not None:
             value = max(value, -0.25 - 0.25 * self._log_dist(dil, self.decoy))
         return value
 

@@ -21,7 +21,6 @@ __all__ = [
     "ConvKernel",
     "ConvTape",
     "Adam",
-    "flat_views",
     "WORST_FITNESS",
     "init_kernel",
     "tap_offsets",
@@ -123,23 +122,18 @@ def tap_offsets(kernel_size: int, dilation: int, padding_mode: str) -> np.ndarra
 
 @dataclass
 class ConvTape:
-    """Cached forward state needed for the exact backward pass."""
+    """What the backward pass reads: the input, the kernel and its tap offsets."""
 
     x: np.ndarray
     kernel: ConvKernel
-    dilation: int
-    padding_mode: str
     offsets: np.ndarray
 
 
 def dilated_conv1d_forward(
-    x: np.ndarray,
-    kernel: ConvKernel,
-    dilation: int,
-    padding_mode: str = "causal",
-    want_tape: bool = False,
+    x: np.ndarray, kernel: ConvKernel, dilation: int, padding_mode: str = "causal"
 ):
-    """Same-length dilated convolution; returns output or (output, tape)."""
+    """Same-length dilated convolution; returns (output, tape).  The tape
+    holds references only, so building it costs nothing."""
     x = _as_seq_batch(x)
     if x.shape[1] != kernel.in_channels:
         raise ValueError(
@@ -151,9 +145,7 @@ def dilated_conv1d_forward(
             "centered mode requires (kernel_size-1)*dilation < sequence length"
         )
     out = _kernels.conv1d_forward(x, kernel.weights, kernel.bias, offsets)
-    if want_tape:
-        return out, ConvTape(x, kernel, int(dilation), padding_mode, offsets)
-    return out
+    return out, ConvTape(x, kernel, offsets)
 
 
 def dilated_conv1d_backward(tape: ConvTape, grad_out: np.ndarray):

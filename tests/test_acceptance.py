@@ -93,9 +93,9 @@ def test_criterion_1_gradient_suite():
         probe = rng.standard_normal((B, Cout, T)) / (B * Cout * T)
 
         def conv_loss():
-            return float((dilated_conv1d_forward(x, kern, d, mode) * probe).sum())
+            return float((dilated_conv1d_forward(x, kern, d, mode)[0] * probe).sum())
 
-        _, tape = dilated_conv1d_forward(x, kern, d, mode, want_tape=True)
+        _, tape = dilated_conv1d_forward(x, kern, d, mode)
         gx, gw, gb = dilated_conv1d_backward(tape, probe)
         check("conv/x", max_rel_error(gx, central_difference(conv_loss, x)))
         check("conv/w", max_rel_error(gw, central_difference(conv_loss, kern.weights)))
@@ -138,9 +138,9 @@ def test_criterion_1_gradient_suite():
         pm = rng.standard_normal((B, Cout, T)) / (B * Cout * T)
 
         def md_loss():
-            return float((multi_dilated_forward(x, state) * pm).sum())
+            return float((multi_dilated_forward(x, state)[0] * pm).sum())
 
-        _, mtape = multi_dilated_forward(x, state, want_tape=True)
+        _, mtape = multi_dilated_forward(x, state)
         mgx, mgw, mgb, mgc = multi_dilated_backward(mtape, pm)
         check(f"multi/{kind}/x", max_rel_error(mgx, central_difference(md_loss, x)))
         check(f"multi/{kind}/w", max_rel_error(mgw, central_difference(md_loss, kern.weights)))
@@ -199,7 +199,7 @@ def test_criterion_2_pmf_forward_expectation_exactness():
         w = rng_t.standard_normal(3) + 1.0
         dils = (1 + trial % 3, 4 + trial % 5, 9 + trial)
         state = MultiDilatedLayerState(kern, dils, w)
-        out = multi_dilated_forward(x, state)
+        out = multi_dilated_forward(x, state)[0]
         alphas = np.abs(w) / np.abs(w).sum()
         oracle = sum(
             a * naive_dilated_conv1d(x, kern.weights, kern.bias, dd)

@@ -534,6 +534,9 @@ _INVALID_CONFIGS = [
                  id="oracle-target-length"),
     pytest.param("global", {"surrogate": {"target": [0, 2]}, "global": _GA},
                  id="surrogate-target-0"),
+    pytest.param("global", {"surrogate": {"target": [1, 2], "decoy": [4, 4],
+                                          "deceptive": True}, "global": _GA},
+                 id="surrogate-deceptive-key"),
     pytest.param(
         "global",
         {"global": _GA, "network": {"layers": [{"kernel_size": 2}], "padding_mode": "bogus"}},

@@ -17,7 +17,8 @@ mismatch says whether the running build differs.
 
 A change that is meant to move outputs re-records the digests with
     PYTHONPATH=src python tests/test_golden.py --write
-and names the files whose bytes moved.
+which prints the keys whose digests moved against the record it replaces;
+the change names them.
 """
 
 from __future__ import annotations
@@ -187,7 +188,11 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         digests = run_pipeline(Path(tmp))
     losses = trainer_losses()
+    previous = json.loads(GOLDEN.read_text())
+    moved = (_moved(previous["digests"], digests)
+             + _moved(previous["loss_digests"], losses))
     GOLDEN.write_text(json.dumps({"build": build_info(), "digests": digests,
                                   "loss_digests": losses},
                                  indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(digests)} + {len(losses)} digests to {GOLDEN}")
+    print("moved: " + (", ".join(moved) or "none"))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import central_difference, max_rel_error, naive_dilated_conv1d
 from rfsearch.genome import DilationGenome
 from rfsearch.localsearch import (
+    PMF_KINDS,
     LocalConfig,
     MultiDilatedLayerState,
     ParallelLayer,
@@ -131,8 +134,8 @@ class TestMultiDilatedForward:
         x = rng.standard_normal((2, 3, 20))
         k = _kernel(rng, 4, 3, 3)
         state = MultiDilatedLayerState(k, (5, 5), np.array([1.0, 1.0]))
-        out = multi_dilated_forward(x, state)
-        single = dilated_conv1d_forward(x, k, 5)
+        out = multi_dilated_forward(x, state)[0]
+        single = dilated_conv1d_forward(x, k, 5)[0]
         np.testing.assert_allclose(out, single, rtol=1e-12, atol=1e-14)
 
     def test_degenerate_pmf_selects_single_branch(self, rng):
@@ -141,8 +144,8 @@ class TestMultiDilatedForward:
         x = rng.standard_normal((1, 2, 16))
         k = _kernel(rng, 2, 2, 2)
         state = MultiDilatedLayerState(k, (3, 7), np.array([1.0, 0.0]))
-        out = multi_dilated_forward(x, state)
-        assert np.array_equal(out, dilated_conv1d_forward(x, k, 3))
+        out = multi_dilated_forward(x, state)[0]
+        assert np.array_equal(out, dilated_conv1d_forward(x, k, 3)[0])
 
     def test_matches_independent_branch_sum_oracle(self):
         rng = np.random.default_rng(31)
@@ -151,7 +154,7 @@ class TestMultiDilatedForward:
         w = np.array([0.7, -1.3, 0.4])
         dils = (2, 5, 9)
         state = MultiDilatedLayerState(k, dils, w)
-        out = multi_dilated_forward(x, state)
+        out = multi_dilated_forward(x, state)[0]
         mags = np.abs(w)
         alphas = mags / mags.sum()
         expected = sum(
@@ -185,14 +188,11 @@ class TestFrozenSingleBranch:
         k = _kernel(rng, 4, 3, 3)
         grad_out = rng.standard_normal((2, 4, 20))
         state = MultiDilatedLayerState(k, (3,), None, padding_mode=mode)
-        assert np.array_equal(
-            multi_dilated_forward(x, state), dilated_conv1d_forward(x, k, 3, mode)
-        )
-        out, tape = multi_dilated_forward(x, state, want_tape=True)
-        ref_out, ref_tape = dilated_conv1d_forward(x, k, 3, mode, want_tape=True)
+        out, tape = multi_dilated_forward(x, state)
+        ref_out, ref_tape = dilated_conv1d_forward(x, k, 3, mode)
         assert np.array_equal(out, ref_out)
         gx, gw, gb, gc = multi_dilated_backward(tape, grad_out)
-        assert gc is None and tape.branch_outputs == []
+        assert gc is None
         for got, ref in zip((gx, gw, gb), dilated_conv1d_backward(ref_tape, grad_out)):
             assert np.array_equal(got, ref)
 
@@ -202,7 +202,7 @@ class TestMultiDilatedBackward:
         x = rng.standard_normal((1, 2, 12))
         k = _kernel(rng, 3, 2, 2)
         state = MultiDilatedLayerState(k, (1, 4), np.array([1.0, 2.0]))
-        out, tape = multi_dilated_forward(x, state, want_tape=True)
+        out, tape = multi_dilated_forward(x, state)
         gx, gw, gb, gc = multi_dilated_backward(tape, np.zeros_like(out))
         assert not gx.any() and not gw.any() and not gb.any() and not gc.any()
 
@@ -210,7 +210,7 @@ class TestMultiDilatedBackward:
         x = rng.standard_normal((1, 2, 12))
         k = _kernel(rng, 2, 2, 2)
         state = MultiDilatedLayerState(k, (4, 4), np.array([0.8, 0.8]))
-        out, tape = multi_dilated_forward(x, state, want_tape=True)
+        out, tape = multi_dilated_forward(x, state)
         _, _, _, gc = multi_dilated_backward(tape, rng.standard_normal(out.shape))
         np.testing.assert_allclose(gc[0], gc[1], rtol=1e-12)
 
@@ -224,20 +224,61 @@ class TestMultiDilatedBackward:
         probe = rng.standard_normal((2, 3, 18))
 
         def loss():
-            return float((multi_dilated_forward(x, state) * probe).sum())
+            return float((multi_dilated_forward(x, state)[0] * probe).sum())
 
-        out, tape = multi_dilated_forward(x, state, want_tape=True)
+        out, tape = multi_dilated_forward(x, state)
         gx, gw, gb, gc = multi_dilated_backward(tape, probe)
         assert max_rel_error(gx, central_difference(loss, x)) < 1e-5
         assert max_rel_error(gw, central_difference(loss, k.weights)) < 1e-5
         assert max_rel_error(gb, central_difference(loss, k.bias)) < 1e-5
         assert max_rel_error(gc, central_difference(loss, state.coefficients)) < 1e-5
 
+    @pytest.mark.parametrize("kind", PMF_KINDS)
+    @pytest.mark.parametrize("mode, dils", [("causal", (1, 4, 7)), ("centered", (1, 3, 5))])
+    def test_coefficient_gradient_is_exact(self, kind, mode, dils):
+        # causal d = 7 puts tap 0 at offset -14, wholly outside T = 12
+        rng = np.random.default_rng(61)
+        x = rng.standard_normal((2, 3, 12))
+        k = _kernel(rng, 4, 3, 3)
+        w = rng.standard_normal(3) + np.array([1.5, -1.5, 1.0])
+        state = MultiDilatedLayerState(k, dils, w, pmf_kind=kind, padding_mode=mode)
+        grad_out = rng.standard_normal((2, 4, 12))
+        _, tape = multi_dilated_forward(x, state)
+        gc = multi_dilated_backward(tape, grad_out)[3]
+        g = np.array([
+            np.vdot(grad_out, naive_dilated_conv1d(x, k.weights, k.bias, d, mode))
+            for d in dils
+        ])
+        np.testing.assert_allclose(gc, pmf_backward(w, kind, pmf(w, kind), g), rtol=1e-12)
+
+    def test_tape_holds_only_input_and_kernel_data(self, rng):
+        x = rng.standard_normal((2, 3, 16))
+        k = _kernel(rng, 4, 3, 2)
+        state = MultiDilatedLayerState(k, (1, 2, 3), np.array([0.5, 1.0, 1.5]))
+        _, tape = multi_dilated_forward(x, state)
+
+        def arrays(obj):
+            if isinstance(obj, np.ndarray):
+                yield obj
+            elif isinstance(obj, (list, tuple)):
+                for item in obj:
+                    yield from arrays(item)
+            elif dataclasses.is_dataclass(obj):
+                for f in dataclasses.fields(obj):
+                    yield from arrays(getattr(obj, f.name))
+
+        held = list(arrays(tape))
+        assert any(a is x for a in held)
+        shared = (x, k.weights, k.bias, state.coefficients)
+        for a in held:
+            # besides shared arrays, only per-branch alphas and per-tap offsets
+            assert any(a is s for s in shared) or (a.ndim == 1 and a.size <= 3), a.shape
+
     def test_abs_subgradient_zero_at_kink(self, rng):
         x = rng.standard_normal((1, 1, 10))
         k = _kernel(rng, 1, 1, 2)
         state = MultiDilatedLayerState(k, (1, 3), np.array([0.0, 2.0]))
-        out, tape = multi_dilated_forward(x, state, want_tape=True)
+        out, tape = multi_dilated_forward(x, state)
         _, _, _, gc = multi_dilated_backward(tape, rng.standard_normal(out.shape))
         assert gc[0] == 0.0
 

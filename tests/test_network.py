@@ -1,7 +1,10 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from oracles import central_difference, max_rel_error
+from rfsearch import network
 from rfsearch.genome import DilationGenome, receptive_field
 from rfsearch.localsearch import LocalConfig, ParallelLayer, ParallelStructure
 from rfsearch.network import (
@@ -111,6 +114,25 @@ class TestNetworkGradients:
         grads = net.backward(grad_out)
         for p, g in zip(net.parameters(), grads):
             assert max_rel_error(g, central_difference(loss, p)) < 1e-5
+
+
+def test_evaluation_frees_each_layer_input_before_the_next_layer(rng, monkeypatch):
+    forward = network.multi_dilated_forward
+    inputs = []
+    alive = []
+
+    def spy(h, state):
+        alive.append(sum(ref() is not None for ref in inputs))
+        inputs.append(weakref.ref(h))
+        return forward(h, state)
+
+    monkeypatch.setattr(network, "multi_dilated_forward", spy)
+    net = DilatedNet(SPEC, DilationGenome((2, 3)), rng)
+    x = rng.standard_normal((2, 3, 14))
+    net.forward(x)
+    # only x, which the caller holds, outlives its layer
+    assert alive == [0, 1, 1]
+    assert net._tapes is None
 
 
 class TestReceptiveFieldAccounting:

@@ -23,7 +23,7 @@ class TestSurrogate:
 
     def test_deceptive_variant_has_local_optimum(self):
         space = build_space(2, 6, 64)
-        f = SurrogateFitness((1, 1), deceptive=True, decoy=(64, 64))
+        f = SurrogateFitness((1, 1), decoy=(64, 64))
         assert f((1, 1)) == 0.0
         # the decoy beats every immediate grid neighbor but not the target
         decoy_val = f((64, 64))
@@ -35,9 +35,13 @@ class TestSurrogate:
         plain = SurrogateFitness((1, 1))
         assert f((16, 16)) > plain((16, 16))
 
-    def test_deceptive_requires_decoy(self):
+    def test_invalid_decoy_rejected(self):
         with pytest.raises(ValueError):
-            SurrogateFitness((1, 1), deceptive=True)
+            SurrogateFitness((1, 1), decoy=(4,))
+        with pytest.raises(ValueError):
+            SurrogateFitness((1, 1), decoy=(0, 4))
+        with pytest.raises(TypeError):  # the decoy alone turns the blend on
+            SurrogateFitness((1, 1), deceptive=True, decoy=(4, 4))
 
     def test_trainer_adapter(self):
         trainer = SurrogateFitness(TARGET).as_trainer()

@@ -43,14 +43,14 @@ class TestConvForward:
     def test_all_zero_input_zero_bias_gives_zeros(self, rng):
         x = np.zeros((2, 3, 16))
         k = ConvKernel(rng.standard_normal((4, 3, 3)), np.zeros(4))
-        out = dilated_conv1d_forward(x, k, dilation=4)
+        out = dilated_conv1d_forward(x, k, dilation=4)[0]
         assert np.array_equal(out, np.zeros((2, 4, 16)))
 
     @pytest.mark.parametrize("dilation", [1, 3, 100])
     def test_width_one_identity_kernel(self, rng, dilation):
         x = rng.standard_normal((2, 1, 10))
         k = ConvKernel(np.array([[[1.0]]]), np.zeros(1))
-        out = dilated_conv1d_forward(x, k, dilation=dilation)
+        out = dilated_conv1d_forward(x, k, dilation=dilation)[0]
         assert np.array_equal(out, x)
 
     def test_causal_impulse_response(self):
@@ -60,7 +60,7 @@ class TestConvForward:
         x[0, 0, 5] = 1.0
         w0, w1 = 2.5, -1.25
         k = ConvKernel(np.array([[[w0, w1]]]), np.zeros(1))
-        out = dilated_conv1d_forward(x, k, dilation=3, padding_mode="causal")
+        out = dilated_conv1d_forward(x, k, dilation=3, padding_mode="causal")[0]
         expected = np.zeros(14)
         expected[5] = w1
         expected[8] = w0
@@ -73,7 +73,7 @@ class TestConvForward:
     def test_same_length_output(self, rng, mode, dilation):
         x = rng.standard_normal((2, 3, 40))
         k = _kernel(rng, 4, 3, 3)
-        out = dilated_conv1d_forward(x, k, dilation, mode)
+        out = dilated_conv1d_forward(x, k, dilation, mode)[0]
         assert out.shape == (2, 4, 40)
 
     def test_linearity(self, rng):
@@ -81,8 +81,8 @@ class TestConvForward:
         x2 = rng.standard_normal((2, 3, 24))
         k = ConvKernel(rng.standard_normal((4, 3, 3)), np.zeros(4))
         a, b = 1.7, -0.3
-        lhs = dilated_conv1d_forward(a * x1 + b * x2, k, 2)
-        rhs = a * dilated_conv1d_forward(x1, k, 2) + b * dilated_conv1d_forward(x2, k, 2)
+        lhs = dilated_conv1d_forward(a * x1 + b * x2, k, 2)[0]
+        rhs = a * dilated_conv1d_forward(x1, k, 2)[0] + b * dilated_conv1d_forward(x2, k, 2)[0]
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
     def test_causal_receptive_field_window(self, rng):
@@ -91,13 +91,13 @@ class TestConvForward:
         K, d, t = 3, 4, 20
         x = rng.standard_normal((1, 2, 32))
         k = _kernel(rng, 2, 2, K)
-        base = dilated_conv1d_forward(x, k, d)
+        base = dilated_conv1d_forward(x, k, d)[0]
         window_lo = t - (K - 1) * d
         taps = {t - (K - 1 - j) * d for j in range(K)}
         for pos in range(32):
             x2 = x.copy()
             x2[0, :, pos] += 7.5
-            out = dilated_conv1d_forward(x2, k, d)
+            out = dilated_conv1d_forward(x2, k, d)[0]
             if pos in taps:
                 assert not np.array_equal(out[0, :, t], base[0, :, t])
             elif not (window_lo <= pos <= t):
@@ -137,14 +137,14 @@ class TestConvBackward:
     def test_zero_grad_out_gives_zero_grads(self, rng):
         x = rng.standard_normal((2, 2, 12))
         k = _kernel(rng, 3, 2, 3)
-        out, tape = dilated_conv1d_forward(x, k, 2, want_tape=True)
+        out, tape = dilated_conv1d_forward(x, k, 2)
         gx, gw, gb = dilated_conv1d_backward(tape, np.zeros_like(out))
         assert not gx.any() and not gw.any() and not gb.any()
 
     def test_width_one_weight_grad_is_correlation(self, rng):
         x = rng.standard_normal((1, 1, 15))
         k = ConvKernel(rng.standard_normal((1, 1, 1)), np.zeros(1))
-        out, tape = dilated_conv1d_forward(x, k, 1, want_tape=True)
+        out, tape = dilated_conv1d_forward(x, k, 1)
         go = rng.standard_normal(out.shape)
         _, gw, _ = dilated_conv1d_backward(tape, go)
         assert gw.shape == (1, 1, 1)
@@ -158,9 +158,9 @@ class TestConvBackward:
         probe = rng.standard_normal((2, 3, 14))
 
         def loss():
-            return float((dilated_conv1d_forward(x, k, 2, mode) * probe).sum())
+            return float((dilated_conv1d_forward(x, k, 2, mode)[0] * probe).sum())
 
-        out, tape = dilated_conv1d_forward(x, k, 2, mode, want_tape=True)
+        out, tape = dilated_conv1d_forward(x, k, 2, mode)
         gx, gw, gb = dilated_conv1d_backward(tape, probe)
         assert max_rel_error(gx, central_difference(loss, x)) < 1e-6
         assert max_rel_error(gw, central_difference(loss, k.weights)) < 1e-6
@@ -169,7 +169,7 @@ class TestConvBackward:
     def test_grad_shape_mismatch_rejected(self, rng):
         x = rng.standard_normal((1, 1, 10))
         k = _kernel(rng, 1, 1, 2)
-        _, tape = dilated_conv1d_forward(x, k, 1, want_tape=True)
+        _, tape = dilated_conv1d_forward(x, k, 1)
         with pytest.raises(ValueError):
             dilated_conv1d_backward(tape, np.zeros((1, 1, 11)))
 
