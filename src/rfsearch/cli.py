@@ -57,6 +57,7 @@ from .localsearch import (
 from .network import LayerSpec, NetworkSpec, Trainer, TrainSettings
 from .oracle import SurrogateFitness, random_search
 from .tasks import TaskSpec, generate
+from .tensorops import keep_heap
 
 __all__ = ["main", "ConfigError", "ExperimentConfig", "load_config"]
 
@@ -638,10 +639,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    keep_heap()  # the commands train; a step's temporaries stay in the heap
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "report":
             return cmd_report(args.run_dir)
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg = dataclasses.replace(cfg, master_seed=args.seed)

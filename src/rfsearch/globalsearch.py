@@ -30,7 +30,7 @@ from .genome import (
     random_genome,
 )
 from .oracle import rank_key
-from .tensorops import WORST_FITNESS, TrainingDiverged
+from .tensorops import WORST_FITNESS, TrainingDiverged, keep_heap
 
 __all__ = [
     "GlobalConfig",
@@ -288,7 +288,8 @@ def run_global_search(
         # imported here: it loads multiprocessing, which --jobs 1 never uses
         from concurrent.futures import ProcessPoolExecutor
 
-        pool_executor = ProcessPoolExecutor(max_workers=jobs)
+        # workers keep their heap whatever the start method (see keep_heap)
+        pool_executor = ProcessPoolExecutor(max_workers=jobs, initializer=keep_heap)
 
     def eval_batch(genomes):
         nonlocal next_id

@@ -8,6 +8,7 @@ suite.  All math runs in 64-bit precision.
 
 from __future__ import annotations
 
+import ctypes
 import sys
 from dataclasses import dataclass
 
@@ -30,6 +31,7 @@ __all__ = [
     "relu_backward",
     "softmax_nll_loss",
     "mse_loss",
+    "keep_heap",
 ]
 
 # Sentinel fitness for diverged candidate evaluations (finite stand-in for -inf).
@@ -319,3 +321,39 @@ class Adam:
         u /= s
         for p, end in zip(params, self._ends):
             p -= u[end - p.size : end].reshape(p.shape)
+
+
+# --------------------------------------------------------------------------
+# allocator policy
+# --------------------------------------------------------------------------
+
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def keep_heap() -> None:
+    """Keep freed memory in this process's heap from one training step to the next.
+
+    A training step allocates and frees (B, C, T) temporaries of a few hundred
+    KiB.  By default glibc gives the top of the heap back to the OS when they
+    are freed, and the next step faults the same pages back in (hundreds of
+    minor page faults per step at (32, 16, 96)).  This sets glibc's trim threshold
+    to 1 GiB, so the heap top is kept, and its mmap threshold to 32 MiB, its
+    largest accepted value, so such arrays come from the heap rather than
+    ``mmap``.  Both are needed: a fixed trim threshold also turns off glibc's
+    dynamic mmap threshold, after which every array of 128 KiB or more is
+    mmapped and unmapped again.
+
+    The policy holds for the whole process, so the package never sets it on
+    import: the ``rfsearch`` command and its worker processes call this, and
+    a library caller that trains in its own process may.  Without glibc's
+    ``mallopt`` it does nothing.  Results do not change.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no C library handle, or not glibc
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)

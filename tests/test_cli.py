@@ -1,11 +1,17 @@
+import concurrent.futures
 import csv
 import json
+import os
+import platform
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from rfsearch import cli
+import rfsearch
+from rfsearch import cli, tensorops
 from rfsearch.cli import ConfigError, load_config, main
 from rfsearch.localsearch import expected_dilation
 
@@ -559,3 +565,71 @@ def test_invalid_config_exits_2_before_any_output(
     assert main([command, "--config", cfg]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+@pytest.mark.parametrize(
+    "command, sections",
+    [("global", {"global": _GA}), ("oracle", {"oracle": _ORACLE})],
+    ids=["global", "oracle"],
+)
+def test_invalid_jobs_exits_2_before_any_output(tmp_path, capsys, command, sections, jobs):
+    cfg = _task_config(tmp_path, **sections)
+    assert main([command, "--config", cfg, "--jobs", jobs]) == 2
+    assert capsys.readouterr().err == f"error: --jobs must be >= 1, got {jobs}\n"
+    assert not (tmp_path / "run").exists()
+
+
+# One `train` run in a fresh interpreter; prints its minor page faults.
+_FAULT_PROBE = """
+import resource, sys
+from rfsearch import cli
+assert cli.main(sys.argv[1:]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator policy")
+def test_training_steps_do_not_fault_the_heap_back_in(tmp_path):
+    """Steps after the first reuse the heap: at the local_parallel_multiscale
+    shape, 4 more epochs (32 steps) add almost no page faults.  Without
+    keep_heap glibc trims the heap after each step, about 430 faults a step."""
+    cfg = _write(tmp_path / "cfg.json", {
+        "master_seed": 5,
+        "output_dir": str(tmp_path / "run"),
+        "task": {"kind": "multiscale_sum", "sequence_length": 96, "train_size": 256,
+                 "val_size": 128, "windows": [4, 32], "seed": 1},
+        "network": {"layers": [{"kernel_size": 2, "channels": 16}] * 2},
+        "training": {"learning_rate": 0.02, "batch_size": 32},
+        "local": _LOCAL,
+    })
+    src = str(Path(rfsearch.__file__).resolve().parent.parent)
+
+    def faults(epochs: int) -> int:
+        argv = ["train", "--config", cfg, "--init", "4,28", "--epochs", str(epochs)]
+        out = subprocess.run(
+            [sys.executable, "-c", _FAULT_PROBE, *argv], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        return int(out.split()[-1])
+
+    assert faults(6) - faults(2) < 200
+
+
+def test_pool_workers_keep_their_heap(tmp_path, monkeypatch):
+    seen = {}
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer=None):
+            seen["initializer"] = initializer
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    cfg = _surrogate_global_config(tmp_path)
+    assert main(["global", "--config", cfg, "--jobs", "2"]) == 0
+    assert seen["initializer"] is tensorops.keep_heap

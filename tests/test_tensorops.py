@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +14,8 @@ from oracles import (
     per_array_adam,
     where_relu_backward,
 )
+import rfsearch
+from rfsearch import tensorops
 from rfsearch.tensorops import (
     Adam,
     ConvKernel,
@@ -434,3 +441,55 @@ def test_init_kernel_bounds_and_determinism():
     assert np.array_equal(k1.bias, k2.bias)
     assert np.abs(k1.weights).max() <= bound
     assert np.abs(k1.bias).max() <= bound
+
+
+class TestKeepHeap:
+    def test_sets_glibc_trim_and_mmap_thresholds(self, monkeypatch):
+        calls = []
+
+        class Mallopt:
+            def __call__(self, param, value):
+                calls.append((param, value))
+                return 1
+
+        class Libc:
+            mallopt = Mallopt()
+
+        monkeypatch.setattr(tensorops.ctypes, "CDLL", lambda name: Libc())
+        tensorops.keep_heap()
+        # M_TRIM_THRESHOLD = -1 to 1 GiB, M_MMAP_THRESHOLD = -3 to 32 MiB:
+        # a fixed trim threshold alone would mmap every array of 128 KiB or more
+        assert calls == [(-1, 1 << 30), (-3, 32 << 20)]
+
+    @pytest.mark.parametrize("libc", ["no-mallopt", "no-handle"])
+    def test_does_nothing_without_mallopt(self, monkeypatch, libc):
+        def cdll(name):
+            if libc == "no-handle":
+                raise OSError("no C library")
+            return object()
+
+        monkeypatch.setattr(tensorops.ctypes, "CDLL", cdll)
+        assert tensorops.keep_heap() is None
+
+    def test_importing_the_package_leaves_the_allocator_alone(self):
+        probe = """
+import ctypes, importlib, pkgutil
+import numpy
+calls = []
+class Mallopt:
+    def __call__(self, *args):
+        calls.append(args)
+class Libc:
+    mallopt = Mallopt()
+ctypes.CDLL = lambda name: Libc()
+import rfsearch
+for m in pkgutil.iter_modules(rfsearch.__path__):
+    importlib.import_module("rfsearch." + m.name)
+print(len(calls))
+"""
+        src = str(Path(rfsearch.__file__).resolve().parent.parent)
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        assert out.split() == ["0"]
