@@ -20,7 +20,6 @@ from .genome import (
 )
 from .globalsearch import (
     GlobalConfig,
-    Population,
     crossover_segments,
     evaluate,
     mutate,

@@ -120,18 +120,13 @@ class ExperimentConfig:
     surrogate: SurrogateFitness | None = None
     oracle_cfg: OracleConfig | None = None
 
-    def __post_init__(self):
-        # the genetic search runs on the master seed, also after --seed
-        if self.global_cfg is not None:
-            self.global_cfg = dataclasses.replace(self.global_cfg, master_seed=self.master_seed)
-
 
 # config key -> ExperimentConfig field
 _SECTIONS = {"task": "task", "network": "network", "training": "training",
              "global": "global_cfg", "local": "local_cfg", "surrogate": "surrogate",
              "oracle": "oracle_cfg"}
 # fields set from other sections or by the command, not read from keys
-_GA_FIXED = ("space", "genome_length", "master_seed")
+_GA_FIXED = ("space", "genome_length")
 _NET_FIXED = ("in_channels", "num_classes", "layers")
 
 
@@ -241,8 +236,8 @@ def _read_oracle(section: dict) -> OracleConfig:
     keys = _SpaceKeys(**_fields(section, _SpaceKeys, "oracle"))
     fitness = _fields(section, SurrogateFitness, "oracle", skip=("target",))
     oracle = _read(section, OracleConfig, "oracle", ga=None, surrogate=None)
-    ga = _read(ga_section, GlobalConfig, "oracle.ga", skip=("master_seed",),
-               space=_space(keys, "oracle", None), genome_length=oracle.length, epochs=1)
+    ga = _read(ga_section, GlobalConfig, "oracle.ga", space=_space(keys, "oracle", None),
+               genome_length=oracle.length, epochs=1)
     target = oracle.target if oracle.target is not None else (1,) * oracle.length
     surrogate = _build(SurrogateFitness, "oracle", target, **fitness)
     return dataclasses.replace(oracle, ga=ga, surrogate=surrogate)
@@ -340,45 +335,40 @@ def _build_trainer(cfg: ExperimentConfig) -> Trainer:
     return Trainer(generate(cfg.task), cfg.network, cfg.training, seed=cfg.master_seed)
 
 
-def _load_initial_genome(init: str, length: int) -> DilationGenome:
+def _load_init(init: str, spec: NetworkSpec) -> DilationGenome | ParallelStructure:
+    """``--init``: 'baseline', 'd1,d2,...', or the path of a genome or
+    parallel-structure JSON file (read once)."""
     if init == "baseline":
-        return DilationGenome((1,) * length)
+        return _build(spec.baseline_genome, "--init baseline")
     path = Path(init)
+    text = path.read_text() if path.exists() else None
+    parallel = False
     try:
-        if path.exists():
-            genome, _ = genome_from_json(path.read_text())
+        if text is None:
+            loaded = parse_genome_string(init)
         else:
-            genome = parse_genome_string(init)
+            doc = json.loads(text)
+            parallel = isinstance(doc, dict) and doc.get("type") == "parallel"
+            if parallel:
+                loaded = ParallelStructure(tuple(
+                    ParallelLayer(tuple(int(d) for d in l["dilations"]),
+                                  tuple(float(a) for a in l["alphas"]))
+                    for l in doc["layers"]
+                ))
+            else:
+                loaded, _ = genome_from_json(text)
     except (KeyError, TypeError, ValueError) as exc:
+        if parallel:
+            raise ConfigError(f"--init {init} is not a valid structure: {exc!r}") from exc
         raise ConfigError(
             f"--init must be 'baseline', a genome JSON path, or 'd1,d2,...': {exc}"
         ) from exc
-    if len(genome) != length:
-        raise ConfigError(
-            f"initial genome has {len(genome)} genes, network expects {length}"
-        )
-    return genome
-
-
-def _load_structure(init: str, length: int):
-    """Like _load_initial_genome but also accepts a parallel-structure JSON."""
-    path = Path(init)
-    try:
-        doc = json.loads(path.read_text()) if path.exists() else None
-        if not (isinstance(doc, dict) and doc.get("type") == "parallel"):
-            return _load_initial_genome(init, length)
-        structure = ParallelStructure(tuple(
-            ParallelLayer(tuple(int(d) for d in l["dilations"]),
-                          tuple(float(a) for a in l["alphas"]))
-            for l in doc["layers"]
-        ))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"--init {init} is not a valid structure: {exc!r}") from exc
-    if len(structure.layers) != length:
-        raise ConfigError(
-            f"structure has {len(structure.layers)} layers, network expects {length}"
-        )
-    return structure
+    length = len(spec.searched_layer_indices())
+    if parallel and len(loaded.layers) != length:
+        raise ConfigError(f"structure has {len(loaded.layers)} layers, network expects {length}")
+    if not parallel and len(loaded) != length:
+        raise ConfigError(f"initial genome has {len(loaded)} genes, network expects {length}")
+    return loaded
 
 
 def _structure_doc(result, kernel_sizes) -> dict:
@@ -413,10 +403,11 @@ def cmd_global(cfg: ExperimentConfig, jobs: int) -> int:
     else:
         trainer, kernel_sizes = _build_trainer(cfg), cfg.network.searched_kernel_sizes()
     _write_json(out / "resolved_config.json", _resolved_config_doc(cfg))
-    population = run_global_search(
-        cfg.global_cfg, trainer, jobs=jobs, log_dir=out, kernel_sizes=kernel_sizes
+    members, _ = run_global_search(
+        cfg.global_cfg, trainer, cfg.master_seed, jobs=jobs, log_dir=out,
+        kernel_sizes=kernel_sizes,
     )
-    best = population.best()
+    best = members[0]
     print(
         f"global search done: best genome {format_genome_string(best.genome)} "
         f"fitness {best.fitness:.6g} ({out / 'best.json'})"
@@ -434,7 +425,9 @@ def cmd_local(cfg: ExperimentConfig, init: str, parallel: bool, pmf_kind: str | 
         lcfg = dataclasses.replace(lcfg, pmf_kind=pmf_kind)
     cfg = dataclasses.replace(cfg, local_cfg=lcfg)
     trainer = _build_trainer(cfg)
-    initial = _load_initial_genome(init, trainer.genome_length)
+    initial = _load_init(init, trainer.net_spec)
+    if isinstance(initial, ParallelStructure):
+        raise ConfigError(f"--init {init} is a parallel structure; local search needs a genome")
     out = Path(cfg.output_dir)
     _write_json(out / "resolved_config.json", _resolved_config_doc(cfg))
     result, history = run_local_search(initial, lcfg, trainer, seed=cfg.master_seed)
@@ -469,7 +462,7 @@ def cmd_train(cfg: ExperimentConfig, init: str, epochs: int | None) -> int:
         training = _build(dataclasses.replace, "--epochs", cfg.training, final_epochs=epochs)
         cfg = dataclasses.replace(cfg, training=training)
     trainer = _build_trainer(cfg)
-    structure = _load_structure(init, trainer.genome_length)
+    structure = _load_init(init, trainer.net_spec)
     n_epochs = cfg.training.final_epochs
     seed = seeding.derive_seed(cfg.master_seed, "train-final")
     out = Path(cfg.output_dir)
@@ -508,13 +501,7 @@ def cmd_oracle(cfg: ExperimentConfig, jobs: int) -> int:
         seed = seeding.derive_seed(cfg.master_seed, "oracle-seed", s)
         for method in o.methods:
             if method == "ga":
-                trajectory: list = []
-                run_global_search(
-                    dataclasses.replace(o.ga, master_seed=seed),
-                    fitness.as_trainer(),
-                    jobs=jobs,
-                    trajectory_out=trajectory,
-                )
+                _, trajectory = run_global_search(o.ga, fitness.as_trainer(), seed, jobs=jobs)
             else:
                 _, trajectory = random_search(o.ga.space, o.length, budget, fitness, seed)
             for b, f in trajectory:
@@ -608,7 +595,10 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", required=True, help="experiment config (JSON)")
         p.add_argument("--seed", type=int, default=None, help="override master_seed")
-        p.add_argument("--jobs", type=int, default=1, help="evaluation worker count")
+        p.add_argument(
+            "--jobs", type=int, default=1,
+            help="evaluation worker count (global and oracle; local and train take only 1)",
+        )
 
     p_global = sub.add_parser("global", help="genetic global search")
     add_common(p_global)
@@ -646,6 +636,9 @@ def main(argv=None) -> int:
             return cmd_report(args.run_dir)
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+        if args.jobs != 1 and args.command in ("local", "train"):
+            raise ConfigError(f"--jobs applies to global and oracle only; {args.command} runs "
+                              f"serially, got --jobs {args.jobs}")
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg = dataclasses.replace(cfg, master_seed=args.seed)

@@ -6,16 +6,17 @@ individuals with early-stopped training, then keep the best M of old and new
 members (elitist truncation, so the best fitness never decreases).
 
 Candidate evaluations are cached by genome content: the evaluation seed is
-itself derived from (master_seed, genome), so a duplicate genome costs
-nothing and the whole search is a pure function of config and master seed
-regardless of worker count.
+itself derived from (seed, genome), so a duplicate genome costs nothing and
+the whole search is a pure function of config and seed regardless of worker
+count.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
+import itertools
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,6 @@ from .tensorops import WORST_FITNESS, TrainingDiverged, keep_heap
 
 __all__ = [
     "GlobalConfig",
-    "Population",
     "selection_probabilities",
     "crossover_segments",
     "mutate",
@@ -46,7 +46,7 @@ __all__ = [
 _SHIFT_EPS = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class GlobalConfig:
     space: SearchSpace
     genome_length: int
@@ -55,7 +55,6 @@ class GlobalConfig:
     p_m: float = 0.2
     p_s: float = 0.2
     epochs: int = 3
-    master_seed: int = 0
     mutation_mode: str = "uniform"
 
     def __post_init__(self):
@@ -74,20 +73,7 @@ class GlobalConfig:
             raise ValueError(f"unknown mutation_mode {self.mutation_mode!r}")
 
 
-@dataclass
-class Population:
-    members: list[EvalRecord]
-    capacity: int
-    generation: int = 0
-
-    def best(self) -> EvalRecord:
-        return min(self.members, key=lambda r: rank_key(r.genome, r.fitness))
-
-    def fitnesses(self) -> np.ndarray:
-        return np.array([r.fitness for r in self.members], dtype=np.float64)
-
-
-def selection_probabilities(pop) -> np.ndarray:
+def selection_probabilities(fitnesses) -> np.ndarray:
     """Fitness-proportional selection probabilities.
 
     Fitness values are used directly when all are positive; otherwise they
@@ -95,13 +81,7 @@ def selection_probabilities(pop) -> np.ndarray:
     stays defined for zero or negative metrics.  Equal fitnesses (before or
     after the shift) yield the uniform distribution.
     """
-    if isinstance(pop, Population):
-        values = pop.fitnesses()
-    else:
-        values = np.asarray(
-            [r.fitness if isinstance(r, EvalRecord) else float(r) for r in pop],
-            dtype=np.float64,
-        )
+    values = np.asarray(fitnesses, dtype=np.float64)
     if values.size == 0:
         raise ValueError("population is empty")
     if not np.isfinite(values).all():
@@ -207,13 +187,8 @@ def evaluate(genome: DilationGenome, trainer, epochs: int, seed: int) -> EvalRec
     )
 
 
-def _evaluate_one(args):
-    trainer, genome, epochs, seed = args
-    return evaluate(genome, trainer, epochs, seed)
-
-
 class _Logs:
-    def __init__(self, log_dir, cfg, kernel_sizes):
+    def __init__(self, log_dir, seed, kernel_sizes):
         self.dir = Path(log_dir)
         self.dir.mkdir(parents=True, exist_ok=True)
         self.kernel_sizes = kernel_sizes
@@ -225,7 +200,7 @@ class _Logs:
         self._traj_file = open(self.dir / "trajectory.csv", "w", newline="")
         self._traj = csv.writer(self._traj_file)
         self._traj.writerow(["budget", "running_best_fitness", "seed", "method"])
-        self.master_seed = cfg.master_seed
+        self.seed = seed
 
     def log_records(self, generation, records):
         for r in records:
@@ -243,7 +218,7 @@ class _Logs:
         self._pop_file.flush()
 
     def log_checkpoint(self, budget, best_fitness):
-        self._traj.writerow([budget, repr(best_fitness), self.master_seed, "ga"])
+        self._traj.writerow([budget, repr(best_fitness), self.seed, "ga"])
         self._traj_file.flush()
 
     def log_best(self, record):
@@ -260,29 +235,39 @@ class _Logs:
         self._traj_file.close()
 
 
+def _survivor_key(record: EvalRecord):
+    return rank_key(record.genome, record.fitness) + (record.candidate_id,)
+
+
 def run_global_search(
     cfg: GlobalConfig,
     trainer,
+    seed: int,
     jobs: int = 1,
     log_dir=None,
     kernel_sizes=None,
-    trajectory_out: list | None = None,
-) -> Population:
-    """Run the full genetic search and return the final population, sorted by
-    fitness descending (ties: genome lexicographic order, then candidate id).
+) -> tuple[list[EvalRecord], list[tuple[int, float]]]:
+    """Run the full genetic search from ``seed``; return ``(members,
+    trajectory)``.
+
+    ``members`` is the final population sorted by fitness descending (ties:
+    genome lexicographic order, then candidate id), so ``members[0]`` is the
+    best.  ``trajectory`` holds one (created_candidates, best_fitness)
+    checkpoint per generation, generation 0 included: the rows of
+    ``trajectory.csv`` when ``log_dir`` is given.
 
     ``trainer(genome, epochs, seed) -> (fitness, metrics)`` must be
     deterministic given its arguments (and picklable when ``jobs > 1``).
-    ``trajectory_out``, when given, collects (created_candidates,
-    best_fitness) checkpoints per generation.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    rng_init = seeding.derive_rng(cfg.master_seed, "ga-init")
-    rng_evolve = seeding.derive_rng(cfg.master_seed, "ga-evolve")
+    M = cfg.population
+    rng_init = seeding.derive_rng(seed, "ga-init")
+    rng_evolve = seeding.derive_rng(seed, "ga-evolve")
     cache: dict[tuple[int, ...], EvalRecord] = {}
-    next_id = 0
-    logs = _Logs(log_dir, cfg, kernel_sizes) if log_dir is not None else None
+    ids = itertools.count()
+    trajectory: list[tuple[int, float]] = []
+    logs = _Logs(log_dir, seed, kernel_sizes) if log_dir is not None else None
     pool_executor = None
     if jobs > 1:
         # imported here: it loads multiprocessing, which --jobs 1 never uses
@@ -292,55 +277,40 @@ def run_global_search(
         pool_executor = ProcessPoolExecutor(max_workers=jobs, initializer=keep_heap)
 
     def eval_batch(genomes):
-        nonlocal next_id
-        missing = []
-        for g in genomes:
-            if g.dilations not in cache and all(
-                g.dilations != m.dilations for m in missing
-            ):
-                missing.append(g)
-        tasks = [
-            (trainer, g, cfg.epochs, derive_eval_seed(cfg.master_seed, g))
-            for g in missing
-        ]
-        if pool_executor is not None and len(tasks) > 1:
-            fresh = list(pool_executor.map(_evaluate_one, tasks))
+        missing = {g.dilations: g for g in genomes if g.dilations not in cache}
+        seeds = [derive_eval_seed(seed, g) for g in missing.values()]
+        args = (missing.values(), itertools.repeat(trainer), itertools.repeat(cfg.epochs), seeds)
+        # ``evaluate`` is looked up at call time: a set-up probe replaces it
+        if pool_executor is not None and len(missing) > 1:
+            fresh = pool_executor.map(evaluate, *args)
         else:
-            fresh = [_evaluate_one(t) for t in tasks]
+            fresh = map(evaluate, *args)
         for rec in fresh:
             cache[rec.genome.dilations] = rec
         out = []
         for g in genomes:
             base = cache[g.dilations]
-            rec = EvalRecord(
-                genome=g,
-                fitness=base.fitness,
-                epochs_trained=base.epochs_trained,
-                seed=base.seed,
-                metrics=dict(base.metrics),
-                candidate_id=next_id,
-                wall_time_s=base.wall_time_s,
-            )
-            next_id += 1
-            out.append(rec)
+            out.append(dataclasses.replace(
+                base, genome=g, metrics=dict(base.metrics), candidate_id=next(ids)
+            ))
         return out
 
+    def checkpoint(generation, records, best):
+        trajectory.append((M * (generation + 1), best.fitness))
+        if logs:
+            logs.log_records(generation, records)
+            logs.log_checkpoint(*trajectory[-1])
+            logs.log_best(best)
+
     try:
-        M = cfg.population
         members = eval_batch(
             [random_genome(cfg.space, cfg.genome_length, rng_init) for _ in range(M)]
         )
-        members.sort(key=lambda r: rank_key(r.genome, r.fitness) + (r.candidate_id,))
-        created = M
-        if logs:
-            logs.log_records(0, members)
-            logs.log_checkpoint(created, members[0].fitness)
-            logs.log_best(members[0])
-        if trajectory_out is not None:
-            trajectory_out.append((created, members[0].fitness))
+        members.sort(key=_survivor_key)
+        checkpoint(0, members, members[0])
 
         for generation in range(1, cfg.iterations + 1):
-            probs = selection_probabilities(members)
+            probs = selection_probabilities([r.fitness for r in members])
             parent_idx = rng_evolve.choice(len(members), size=M, replace=True, p=probs)
             offspring: list[DilationGenome] = []
             for i in range(0, M - 1, 2):
@@ -357,20 +327,12 @@ def run_global_search(
                 for g in offspring
             ]
             new_records = eval_batch(offspring)
-            pool = members + new_records
-            pool.sort(key=lambda r: rank_key(r.genome, r.fitness) + (r.candidate_id,))
-            members = pool[:M]
-            created += M
-            if logs:
-                logs.log_records(generation, new_records)
-                logs.log_checkpoint(created, members[0].fitness)
-                logs.log_best(members[0])
-            if trajectory_out is not None:
-                trajectory_out.append((created, members[0].fitness))
+            members = sorted(members + new_records, key=_survivor_key)[:M]
+            checkpoint(generation, new_records, members[0])
     finally:
         if pool_executor is not None:
             pool_executor.shutdown()
         if logs:
             logs.close()
 
-    return Population(members=members, capacity=M, generation=cfg.iterations)
+    return members, trajectory

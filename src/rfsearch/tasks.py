@@ -145,11 +145,11 @@ def generate(spec: TaskSpec) -> TaskData:
     return gen_permuted_pixels(spec)
 
 
-def _split_rngs(spec: TaskSpec):
-    return (
-        seeding.derive_rng(spec.seed, "task", spec.kind, "train"),
-        seeding.derive_rng(spec.seed, "task", spec.kind, "val"),
-    )
+def _splits(spec: TaskSpec, make) -> TaskData:
+    """Train and val splits, each ``make(rng, n) -> (x, y, mask)`` on its own stream."""
+    train = make(seeding.derive_rng(spec.seed, "task", spec.kind, "train"), spec.train_size)
+    val = make(seeding.derive_rng(spec.seed, "task", spec.kind, "val"), spec.val_size)
+    return TaskData(*train, *val, spec.num_classes, spec.in_channels)
 
 
 def gen_lagged_copy(spec: TaskSpec) -> TaskData:
@@ -174,10 +174,7 @@ def gen_lagged_copy(spec: TaskSpec) -> TaskData:
         mask[:, spec.lag :] = True
         return x, y, mask
 
-    rng_tr, rng_va = _split_rngs(spec)
-    xtr, ytr, mtr = make(rng_tr, spec.train_size)
-    xva, yva, mva = make(rng_va, spec.val_size)
-    return TaskData(xtr, ytr, mtr, xva, yva, mva, spec.num_classes, spec.in_channels)
+    return _splits(spec, make)
 
 
 def gen_multiscale_sum(spec: TaskSpec) -> TaskData:
@@ -200,10 +197,7 @@ def gen_multiscale_sum(spec: TaskSpec) -> TaskData:
         mask[:, max(spec.windows) - 1 :] = True
         return u, y, mask
 
-    rng_tr, rng_va = _split_rngs(spec)
-    xtr, ytr, mtr = make(rng_tr, spec.train_size)
-    xva, yva, mva = make(rng_va, spec.val_size)
-    return TaskData(xtr, ytr, mtr, xva, yva, mva, spec.num_classes, spec.in_channels)
+    return _splits(spec, make)
 
 
 def gen_noisy_event_span(spec: TaskSpec) -> TaskData:
@@ -220,19 +214,13 @@ def gen_noisy_event_span(spec: TaskSpec) -> TaskData:
         ec = np.concatenate(
             [np.zeros((n, 1)), np.cumsum(events.astype(np.int64), axis=1)], axis=1
         )
-        w = spec.span
-        recent = np.empty((n, T), dtype=np.int64)
-        for t in range(T):
-            lo = max(0, t - w + 1)
-            recent[:, t] = ec[:, t + 1] - ec[:, lo]
+        # events in frames max(0, t - span + 1) .. t
+        recent = ec[:, 1:] - ec[:, np.maximum(0, np.arange(T) - spec.span + 1)]
         y = (recent > 0).astype(np.int64)
         mask = np.ones((n, T), dtype=bool)
         return x, y, mask
 
-    rng_tr, rng_va = _split_rngs(spec)
-    xtr, ytr, mtr = make(rng_tr, spec.train_size)
-    xva, yva, mva = make(rng_va, spec.val_size)
-    return TaskData(xtr, ytr, mtr, xva, yva, mva, spec.num_classes, spec.in_channels)
+    return _splits(spec, make)
 
 
 def gen_permuted_pixels(spec: TaskSpec) -> TaskData:

@@ -244,11 +244,10 @@ def test_criterion_3_global_search_finds_oracle_optimum():
     for seed in range(100):
         cfg = GlobalConfig(
             space=space, genome_length=3, iterations=10, population=8,
-            p_m=0.8, p_s=0.3, epochs=1, master_seed=seed,
+            p_m=0.8, p_s=0.3, epochs=1,
         )
-        trajectory = []
-        pop = run_global_search(cfg, fitness.as_trainer(), trajectory_out=trajectory)
-        hits += pop.best().genome.dilations == optimum
+        members, trajectory = run_global_search(cfg, fitness.as_trainer(), seed)
+        hits += members[0].genome.dilations == optimum
         bests = [b for _, b in trajectory]
         monotone_everywhere &= all(b2 >= b1 for b1, b2 in zip(bests, bests[1:]))
     elapsed = time.time() - t0
@@ -276,10 +275,9 @@ def test_criterion_4_ga_dominates_random_search():
     for s in range(seeds):
         cfg = GlobalConfig(
             space=space, genome_length=length, iterations=N, population=M,
-            p_m=0.8, p_s=0.3, epochs=1, master_seed=s,
+            p_m=0.8, p_s=0.3, epochs=1,
         )
-        traj = []
-        run_global_search(cfg, fitness.as_trainer(), trajectory_out=traj)
+        _, traj = run_global_search(cfg, fitness.as_trainer(), s)
         budgets = [b for b, _ in traj]
         ga_curves.append([f for _, f in traj])
         _, rtraj = random_search(space, length, budgets[-1], fitness, seed=10_000 + s)

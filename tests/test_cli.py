@@ -119,12 +119,23 @@ class TestGlobalCommand:
         assert (tmp_path / "run" / "trajectory.csv").read_bytes() == traj1
 
     def test_seed_override_changes_result_deterministically(self, tmp_path):
-        cfg = _surrogate_global_config(tmp_path)
-        assert main(["global", "--config", cfg, "--seed", "11"]) == 0
-        run_a = (tmp_path / "run" / "population_log.csv").read_bytes()
-        assert main(["global", "--config", cfg, "--seed", "11"]) == 0
-        assert (tmp_path / "run" / "population_log.csv").read_bytes()[:100]  # exists
-        resolved = json.loads((tmp_path / "run" / "resolved_config.json").read_text())
+        # --seed 11 searches exactly as a config with master_seed 11, and
+        # unlike the config's own master_seed 7
+        runs = {"flag": ({}, ["--seed", "11"]), "key": ({"master_seed": 11}, []), "own": ({}, [])}
+        searched = ("best.json", "trajectory.csv", "population_log.csv")
+        outputs = {}
+        for name, (overrides, flags) in runs.items():
+            cfg = _surrogate_global_config(tmp_path, name, **overrides)
+            assert main(["global", "--config", cfg, *flags]) == 0
+            files = _run_outputs(tmp_path / name)
+            outputs[name] = {f: files[f] for f in searched}
+        assert outputs["flag"] == outputs["key"]
+        for f in searched:
+            assert outputs["own"][f] != outputs["flag"][f]
+        genomes = {name: [row[2] for row in out["population_log.csv"]]
+                   for name, out in outputs.items()}
+        assert genomes["own"] != genomes["flag"]
+        resolved = json.loads((tmp_path / "flag" / "resolved_config.json").read_text())
         assert resolved["master_seed"] == 11
 
     def test_config_without_global_section(self, tmp_path, capsys):
@@ -199,6 +210,16 @@ class TestLocalCommand:
         )
         rc = main(["local", "--config", cfg, "--init", "2,4"])
         assert rc == 2
+
+    def test_parallel_structure_init_exits_2(self, tmp_path, capsys):
+        spath = tmp_path / "structure.json"
+        spath.write_text(json.dumps({
+            "type": "parallel", "layers": [{"dilations": [2, 3], "alphas": [0.5, 0.5]}],
+        }))
+        cfg = _task_config(tmp_path, local={"iterations": 1, "epochs_per_iteration": 1})
+        assert main(["local", "--config", cfg, "--init", str(spath)]) == 2
+        assert "is a parallel structure" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_trajectory_rows_recompute_from_the_file(self, tmp_path):
         cfg = _task_config(
@@ -580,6 +601,16 @@ def test_invalid_jobs_exits_2_before_any_output(tmp_path, capsys, command, secti
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command, flags", [("local", []), ("train", ["--epochs", "1"])])
+def test_jobs_above_1_exits_2_for_serial_commands(tmp_path, capsys, command, flags):
+    cfg = _task_config(tmp_path, local={"iterations": 1, "epochs_per_iteration": 1})
+    assert main([command, "--config", cfg, *flags, "--jobs", "2"]) == 2
+    assert "--jobs applies to global and oracle only" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+    assert main([command, "--config", cfg, *flags, "--jobs", "1"]) == 0
+    assert (tmp_path / "run").exists()
+
+
 # One `train` run in a fresh interpreter; prints its minor page faults.
 _FAULT_PROBE = """
 import resource, sys
@@ -623,8 +654,8 @@ def test_pool_workers_keep_their_heap(tmp_path, monkeypatch):
         def __init__(self, max_workers, initializer=None):
             seen["initializer"] = initializer
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
         def shutdown(self):
             pass

@@ -1,12 +1,15 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfsearch.genome import DilationGenome, EvalRecord, build_space
+from rfsearch import globalsearch
+from rfsearch.genome import DilationGenome, build_space
 from rfsearch.globalsearch import (
     GlobalConfig,
-    Population,
     crossover_segments,
     derive_eval_seed,
     evaluate,
@@ -41,14 +44,6 @@ class TestSelectionProbabilities:
             p = selection_probabilities(list(vals))
             assert abs(p.sum() - 1.0) < 1e-12
             assert (p >= 0).all()
-
-    def test_accepts_population(self):
-        members = [
-            EvalRecord(DilationGenome((1,)), 0.25, 1, 0),
-            EvalRecord(DilationGenome((2,)), 0.75, 1, 0),
-        ]
-        pop = Population(members, capacity=2)
-        np.testing.assert_allclose(selection_probabilities(pop), [0.25, 0.75])
 
     def test_sentinel_fitness_does_not_overflow(self):
         # a diverged candidate shifts everything by ~1.8e308; the survivors
@@ -210,7 +205,6 @@ def _config(space, length, **kw):
         p_m=0.2,
         p_s=0.2,
         epochs=1,
-        master_seed=0,
     )
     defaults.update(kw)
     return GlobalConfig(**defaults)
@@ -220,31 +214,29 @@ class TestRunGlobalSearch:
     def test_singleton_space_converges_trivially(self):
         space = build_space(2, 0, 10)
         cfg = _config(space, 3, iterations=1, population=2)
-        pop = run_global_search(cfg, SurrogateFitness((1, 1, 1)).as_trainer())
-        assert len(pop.members) == 2
-        for rec in pop.members:
+        members, _ = run_global_search(cfg, SurrogateFitness((1, 1, 1)).as_trainer(), 0)
+        assert len(members) == 2
+        for rec in members:
             assert rec.genome.dilations == (1, 1, 1)
 
     def test_population_capacity_and_validity(self):
         cfg = _config(SPACE_3, 4, iterations=8, population=5)
-        pop = run_global_search(cfg, SurrogateFitness((4, 1, 2, 2)).as_trainer())
-        assert len(pop.members) <= 5
-        assert pop.generation == 8
-        for rec in pop.members:
+        trainer = SurrogateFitness((4, 1, 2, 2)).as_trainer()
+        members, trajectory = run_global_search(cfg, trainer, 0)
+        assert len(members) <= 5
+        assert len(trajectory) == 1 + 8  # generation 0, then 8 generations
+        for rec in members:
             assert all(d in SPACE_3.candidates for d in rec.genome.dilations)
 
     def test_final_population_sorted_descending(self):
         cfg = _config(SPACE_3, 3, iterations=5)
-        pop = run_global_search(cfg, SurrogateFitness((2, 2, 2)).as_trainer())
-        fits = [r.fitness for r in pop.members]
+        members, _ = run_global_search(cfg, SurrogateFitness((2, 2, 2)).as_trainer(), 0)
+        fits = [r.fitness for r in members]
         assert fits == sorted(fits, reverse=True)
 
     def test_monotone_elitism(self):
-        cfg = _config(SPACE_3, 5, iterations=12, master_seed=3)
-        trajectory = []
-        run_global_search(
-            cfg, SurrogateFitness((4, 2, 1, 2, 4)).as_trainer(), trajectory_out=trajectory
-        )
+        cfg = _config(SPACE_3, 5, iterations=12)
+        _, trajectory = run_global_search(cfg, SurrogateFitness((4, 2, 1, 2, 4)).as_trainer(), 3)
         bests = [b for _, b in trajectory]
         assert len(bests) == 13  # init + one per generation
         assert all(b2 >= b1 for b1, b2 in zip(bests, bests[1:]))
@@ -254,22 +246,22 @@ class TestRunGlobalSearch:
         space = build_space(2, 0, 10)
         trainer = _CountingTrainer((1, 1, 1))
         cfg = _config(space, 3, iterations=6, population=4)
-        run_global_search(cfg, trainer)
+        run_global_search(cfg, trainer, 0)
         assert trainer.calls == [(1, 1, 1)]
 
     def test_budget_equals_unique_genomes(self):
         trainer = _CountingTrainer((4, 1, 2))
-        cfg = _config(SPACE_3, 3, iterations=10, population=6, master_seed=11)
-        run_global_search(cfg, trainer)
+        cfg = _config(SPACE_3, 3, iterations=10, population=6)
+        run_global_search(cfg, trainer, 11)
         assert len(trainer.calls) == len(set(trainer.calls))
 
     def test_bitwise_deterministic_rerun(self):
-        cfg = _config(SPACE_3, 4, iterations=6, master_seed=21)
+        cfg = _config(SPACE_3, 4, iterations=6)
         trainer = SurrogateFitness((1, 4, 2, 1)).as_trainer()
-        pop1 = run_global_search(cfg, trainer)
-        pop2 = run_global_search(cfg, trainer)
-        assert [(r.genome.dilations, r.fitness) for r in pop1.members] == [
-            (r.genome.dilations, r.fitness) for r in pop2.members
+        members1, _ = run_global_search(cfg, trainer, 21)
+        members2, _ = run_global_search(cfg, trainer, 21)
+        assert [(r.genome.dilations, r.fitness) for r in members1] == [
+            (r.genome.dilations, r.fitness) for r in members2
         ]
 
     def test_eval_seed_depends_on_genome_content(self):
@@ -285,12 +277,9 @@ class TestRunGlobalSearch:
         best_true = exhaustive_rank(SPACE_3, 3, SurrogateFitness(target))[0][0]
         hits = 0
         for seed in range(20):
-            cfg = _config(
-                SPACE_3, 3, iterations=10, population=8, p_m=0.8, p_s=0.3,
-                master_seed=seed,
-            )
-            pop = run_global_search(cfg, SurrogateFitness(target).as_trainer())
-            hits += pop.best().genome.dilations == best_true.dilations
+            cfg = _config(SPACE_3, 3, iterations=10, population=8, p_m=0.8, p_s=0.3)
+            members, _ = run_global_search(cfg, SurrogateFitness(target).as_trainer(), seed)
+            hits += members[0].genome.dilations == best_true.dilations
         assert hits >= 18
 
     def test_absorbs_diverged_candidates(self):
@@ -300,9 +289,40 @@ class TestRunGlobalSearch:
                     raise TrainingDiverged("unstable")
                 return float(sum(genome.dilations)), {}
 
-        cfg = _config(SPACE_3, 2, iterations=4, master_seed=2)
-        pop = run_global_search(cfg, FlakyTrainer())
-        assert all(np.isfinite(r.fitness) for r in pop.members)
+        cfg = _config(SPACE_3, 2, iterations=4)
+        members, _ = run_global_search(cfg, FlakyTrainer(), 2)
+        assert all(np.isfinite(r.fitness) for r in members)
+
+    def test_returned_results_match_the_log_files(self, tmp_path):
+        cfg = _config(SPACE_3, 4, iterations=6)
+        members, trajectory = run_global_search(
+            cfg, SurrogateFitness((4, 1, 2, 2)).as_trainer(), 5, log_dir=tmp_path
+        )
+        with open(tmp_path / "trajectory.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(int(r["budget"]), float(r["running_best_fitness"])) for r in rows] == trajectory
+        assert {(r["seed"], r["method"]) for r in rows} == {("5", "ga")}
+        best = json.loads((tmp_path / "best.json").read_text())
+        assert best["dilations"] == list(members[0].genome.dilations)
+        assert (best["fitness"], best["seed"]) == (members[0].fitness, members[0].seed)
+
+    def test_evaluate_is_looked_up_at_call_time(self, monkeypatch):
+        # a set-up probe replaces the module attribute to stop the search
+        # at its first candidate
+        class Sentinel(Exception):
+            pass
+
+        calls = []
+
+        def raiser(*args):
+            calls.append(args)
+            raise Sentinel
+
+        monkeypatch.setattr(globalsearch, "evaluate", raiser)
+        with pytest.raises(Sentinel):
+            run_global_search(_config(SPACE_3, 3), SurrogateFitness((1, 2, 4)).as_trainer(), 0,
+                              jobs=1)
+        assert len(calls) == 1
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
