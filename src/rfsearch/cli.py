@@ -157,7 +157,10 @@ def _value(value, hint, default, where: str):
 def _fields(section: dict, owner, where: str, skip=()) -> dict:
     """Pop the fields of dataclass ``owner`` (except ``skip``) from ``section``
     as constructor keywords; absent keys are left to the owner's defaults."""
-    hints = typing.get_type_hints(owner)
+    # cli's own names resolve the annotations of the classes defined here
+    # even when this module runs as a script under a runner that keeps its
+    # own ``__main__`` (``python -m cProfile -m rfsearch.cli``)
+    hints = typing.get_type_hints(owner, localns=globals())
     kwargs = {}
     for f in dataclasses.fields(owner):
         if f.name in skip:

@@ -9,6 +9,7 @@ clamped to a maximum dilation cap.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,11 +75,12 @@ class DilationGenome:
     dilations: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "dilations", tuple(int(d) for d in self.dilations))
-        if len(self.dilations) < 1:
+        dilations = tuple(map(int, self.dilations))
+        object.__setattr__(self, "dilations", dilations)
+        if not dilations:
             raise ValueError("genome must have at least one gene")
-        if any(d < 1 for d in self.dilations):
-            raise ValueError(f"dilations must be >= 1, got {self.dilations}")
+        if min(dilations) < 1:
+            raise ValueError(f"dilations must be >= 1, got {dilations}")
 
     def __len__(self) -> int:
         return len(self.dilations)
@@ -98,7 +100,7 @@ class EvalRecord:
 
     def __post_init__(self):
         self.fitness = float(self.fitness)
-        if not np.isfinite(self.fitness):
+        if not math.isfinite(self.fitness):
             raise ValueError("fitness must be finite (use the worst-fitness sentinel)")
 
 
@@ -166,4 +168,4 @@ def parse_genome_string(text: str) -> DilationGenome:
 
 
 def format_genome_string(genome: DilationGenome) -> str:
-    return ",".join(str(d) for d in genome.dilations)
+    return ",".join(map(str, genome.dilations))

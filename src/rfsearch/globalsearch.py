@@ -16,6 +16,8 @@ from __future__ import annotations
 import csv
 import dataclasses
 import itertools
+import math
+import os
 import time
 from pathlib import Path
 
@@ -105,9 +107,10 @@ def crossover_segments(
     Anchors are two positions drawn uniformly (with order fixed u <= v) from
     {0, ..., L}; u == v yields clones.  Pass ``anchors`` to force them.
     """
-    if len(a) != len(b):
+    da, db = a.dilations, b.dilations
+    L = len(da)
+    if len(db) != L:
         raise ValueError("parents must have equal length")
-    L = len(a)
     if anchors is None:
         u = int(rng.integers(0, L + 1))
         v = int(rng.integers(0, L + 1))
@@ -117,7 +120,6 @@ def crossover_segments(
         u, v = anchors
         if not (0 <= u <= v <= L):
             raise ValueError(f"anchors must satisfy 0 <= u <= v <= {L}")
-    da, db = a.dilations, b.dilations
     child1 = da[:u] + db[u:v] + da[v:]
     child2 = db[:u] + da[u:v] + db[v:]
     return DilationGenome(child1), DilationGenome(child2)
@@ -144,8 +146,9 @@ def mutate(
         return g
     cands = space.candidates
     genes = list(g.dilations)
-    hits = rng.random(len(genes)) < p_s
-    for i in np.nonzero(hits)[0]:
+    # all the gene draws come first, then one replacement draw per hit
+    hits = [i for i, u in enumerate(rng.random(len(genes)).tolist()) if u < p_s]
+    for i in hits:
         if mode == "uniform":
             genes[i] = cands[int(rng.integers(0, len(cands)))]
         elif mode == "neighbor":
@@ -172,7 +175,7 @@ def evaluate(genome: DilationGenome, trainer, epochs: int, seed: int) -> EvalRec
         fitness, metrics = trainer(genome, epochs, seed)
         fitness = float(fitness)
         metrics = dict(metrics)
-        if not np.isfinite(fitness):
+        if not math.isfinite(fitness):
             raise TrainingDiverged(f"non-finite fitness {fitness}")
     except TrainingDiverged:
         fitness = WORST_FITNESS
@@ -201,20 +204,21 @@ class _Logs:
         self._traj = csv.writer(self._traj_file)
         self._traj.writerow(["budget", "running_best_fitness", "seed", "method"])
         self.seed = seed
+        self._best_key = None
 
     def log_records(self, generation, records):
-        for r in records:
-            self._pop.writerow(
-                [
-                    generation,
-                    r.candidate_id,
-                    format_genome_string(r.genome),
-                    repr(r.fitness),
-                    r.epochs_trained,
-                    r.seed,
-                    f"{r.wall_time_s:.6f}",
-                ]
-            )
+        self._pop.writerows(
+            [
+                generation,
+                r.candidate_id,
+                format_genome_string(r.genome),
+                repr(r.fitness),
+                r.epochs_trained,
+                r.seed,
+                f"{r.wall_time_s:.6f}",
+            ]
+            for r in records
+        )
         self._pop_file.flush()
 
     def log_checkpoint(self, budget, best_fitness):
@@ -222,13 +226,24 @@ class _Logs:
         self._traj_file.flush()
 
     def log_best(self, record):
+        """Replace ``best.json`` when the best genome, fitness or seed changes.
+
+        The new text goes to a temporary file first, so a run stopped at any
+        point leaves the last best record whole.
+        """
+        key = (record.genome.dilations, record.fitness, record.seed)
+        if key == self._best_key:
+            return
         text = genome_to_json(
             record.genome,
             kernel_sizes=self.kernel_sizes,
             fitness=record.fitness,
             seed=record.seed,
         )
-        (self.dir / "best.json").write_text(text + "\n")
+        tmp = self.dir / "best.json.tmp"
+        tmp.write_text(text + "\n")
+        os.replace(tmp, self.dir / "best.json")
+        self._best_key = key
 
     def close(self):
         self._pop_file.close()
@@ -290,8 +305,14 @@ def run_global_search(
         out = []
         for g in genomes:
             base = cache[g.dilations]
-            out.append(dataclasses.replace(
-                base, genome=g, metrics=dict(base.metrics), candidate_id=next(ids)
+            out.append(EvalRecord(
+                genome=g,
+                fitness=base.fitness,
+                epochs_trained=base.epochs_trained,
+                seed=base.seed,
+                metrics=dict(base.metrics),
+                candidate_id=next(ids),
+                wall_time_s=base.wall_time_s,
             ))
         return out
 

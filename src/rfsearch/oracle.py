@@ -40,12 +40,14 @@ class SurrogateFitness:
             len(self.decoy) != len(self.target) or min(self.decoy) < 1
         ):
             raise ValueError("decoy must be as long as the target, with dilations >= 1")
+        # log2 of the peaks, taken once; not fields, so not config keys
+        object.__setattr__(self, "_log_target", tuple(map(math.log2, self.target)))
+        if self.decoy is not None:
+            object.__setattr__(self, "_log_decoy", tuple(map(math.log2, self.decoy)))
 
     @staticmethod
-    def _log_dist(dilations, reference) -> float:
-        return sum(
-            (math.log2(d) - math.log2(t)) ** 2 for d, t in zip(dilations, reference)
-        )
+    def _log_dist(dilations, log_reference) -> float:
+        return sum((math.log2(d) - lt) ** 2 for d, lt in zip(dilations, log_reference))
 
     def __call__(self, genome) -> float:
         dil = genome.dilations if isinstance(genome, DilationGenome) else tuple(genome)
@@ -53,9 +55,9 @@ class SurrogateFitness:
             raise ValueError(
                 f"genome length {len(dil)} does not match target length {len(self.target)}"
             )
-        value = -self._log_dist(dil, self.target)
+        value = -self._log_dist(dil, self._log_target)
         if self.decoy is not None:
-            value = max(value, -0.25 - 0.25 * self._log_dist(dil, self.decoy))
+            value = max(value, -0.25 - 0.25 * self._log_dist(dil, self._log_decoy))
         return value
 
     def as_trainer(self) -> "SurrogateTrainer":

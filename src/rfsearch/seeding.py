@@ -16,17 +16,24 @@ import numpy as np
 __all__ = ["derive_seed", "derive_rng"]
 
 
-def _tag_to_int(tag: int | str) -> int:
-    if isinstance(tag, str):
-        return zlib.crc32(tag.encode("utf-8"))
-    return int(tag)
-
-
 def derive_seed(master_seed: int, *tags: int | str) -> int:
     """Return a 64-bit seed for the sub-stream named by ``tags``."""
-    entropy = [int(master_seed)] + [_tag_to_int(t) for t in tags]
-    words = np.random.SeedSequence(entropy).generate_state(2, dtype=np.uint32)
-    return int(words[0]) | (int(words[1]) << 32)
+    # SeedSequence reads a list of ints as each int's little-endian 32-bit
+    # words, concatenated; handing it those words as one uint32 array gives
+    # the same state without an array per int
+    words = []
+    for n in (int(master_seed), *tags):
+        n = zlib.crc32(n.encode("utf-8")) if isinstance(n, str) else int(n)
+        if n < 0:
+            raise ValueError(f"seeds and tags must be non-negative, got {n}")
+        words.append(n & 0xFFFFFFFF)
+        n >>= 32
+        while n:
+            words.append(n & 0xFFFFFFFF)
+            n >>= 32
+    entropy = np.array(words, dtype=np.uint32)
+    lo, hi = np.random.SeedSequence(entropy).generate_state(2, dtype=np.uint32).tolist()
+    return lo | (hi << 32)
 
 
 def derive_rng(master_seed: int, *tags: int | str) -> np.random.Generator:

@@ -118,6 +118,23 @@ class TestGlobalCommand:
         assert (tmp_path / "run" / "best.json").read_bytes() == best1
         assert (tmp_path / "run" / "trajectory.csv").read_bytes() == traj1
 
+    def test_runs_under_cprofile(self, tmp_path):
+        """``python -m cProfile -m rfsearch.cli`` keeps cProfile's module as
+        ``__main__``; the config schema must still resolve its annotations."""
+        cfg = _surrogate_global_config(tmp_path, "profiled")
+        src = str(Path(rfsearch.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "cProfile", "-o", str(tmp_path / "p.out"),
+             "-m", "rfsearch.cli", "global", "--config", cfg],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        )
+        # cProfile exits 0 whatever the command returns
+        assert proc.returncode == 0 and "failure" not in proc.stderr, proc.stderr
+        assert (tmp_path / "p.out").stat().st_size > 0
+        profiled = (tmp_path / "profiled" / "best.json").read_bytes()
+        assert main(["global", "--config", _surrogate_global_config(tmp_path)]) == 0
+        assert profiled == (tmp_path / "run" / "best.json").read_bytes()
+
     def test_seed_override_changes_result_deterministically(self, tmp_path):
         # --seed 11 searches exactly as a config with master_seed 11, and
         # unlike the config's own master_seed 7

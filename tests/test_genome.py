@@ -13,6 +13,7 @@ from rfsearch.genome import (
     random_genome,
     receptive_field,
 )
+from rfsearch.globalsearch import crossover_segments, mutate
 
 
 class TestBuildSpace:
@@ -95,6 +96,66 @@ class TestGenomeValidation:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             DilationGenome(())
+
+    @pytest.mark.parametrize("dil", [(), (0,), (-1,), (1, -4, 2), (np.int64(0),)])
+    def test_messages(self, dil):
+        match = "at least one gene" if not dil else r"dilations must be >= 1, got \("
+        with pytest.raises(ValueError, match=match):
+            DilationGenome(dil)
+
+    def test_converts_numpy_ints(self):
+        g = DilationGenome((np.int64(4), np.uint8(1), np.int32(512)))
+        assert g.dilations == (4, 1, 512)
+        assert all(type(d) is int for d in g.dilations)
+        assert g == DilationGenome((4, 1, 512))
+        assert hash(g) == hash(DilationGenome((4, 1, 512)))
+
+    def test_accepts_any_iterable(self):
+        assert DilationGenome(np.array([2, 8])).dilations == (2, 8)
+        assert DilationGenome([3, 1]).dilations == (3, 1)
+
+
+# a space whose candidates are numpy ints: the operators must still hand back
+# Python ints, since cache keys, the CSV logs and the JSON files use the genes
+NUMPY_SPACE = build_space(np.int64(2), 5, np.int64(16))
+
+
+def _plain_ints(genome):
+    return all(type(d) is int for d in genome.dilations)
+
+
+class TestGenesArePythonInts:
+    def test_numpy_space_has_numpy_candidates(self):
+        assert not any(type(c) is int for c in NUMPY_SPACE.candidates)
+
+    def test_random_genome(self):
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            assert _plain_ints(random_genome(NUMPY_SPACE, 6, rng))
+
+    def test_crossover_segments(self):
+        rng = np.random.default_rng(1)
+        a = DilationGenome((np.int64(1), np.int64(2), np.int64(4)))
+        b = DilationGenome((8, 16, 1))
+        for _ in range(20):
+            assert all(map(_plain_ints, crossover_segments(a, b, rng)))
+
+    @pytest.mark.parametrize("mode", ["uniform", "neighbor"])
+    def test_mutate(self, mode):
+        rng = np.random.default_rng(2)
+        g = random_genome(NUMPY_SPACE, 6, rng)
+        changed = 0
+        for _ in range(20):
+            child = mutate(g, NUMPY_SPACE, 1.0, 0.5, rng, mode)
+            assert _plain_ints(child)
+            changed += child != g
+        assert changed > 0
+
+    def test_genes_serialize(self):
+        g = random_genome(NUMPY_SPACE, 4, np.random.default_rng(3))
+        back, _ = genome_from_json(genome_to_json(g))
+        assert back == g
+        assert parse_genome_string(format_genome_string(g)) == g
 
 
 class TestSerialization:

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -305,6 +306,68 @@ class TestRunGlobalSearch:
         best = json.loads((tmp_path / "best.json").read_text())
         assert best["dilations"] == list(members[0].genome.dilations)
         assert (best["fitness"], best["seed"]) == (members[0].fitness, members[0].seed)
+
+    def test_best_json_is_replaced_only_when_the_best_changes(self, tmp_path, monkeypatch):
+        offered, replaced = [], []
+        log_best = globalsearch._Logs.log_best
+        real_replace = globalsearch.os.replace
+
+        def spy_log_best(self, record):
+            offered.append((record.genome.dilations, record.fitness, record.seed))
+            log_best(self, record)
+            best = json.loads((tmp_path / "best.json").read_text())
+            assert (tuple(best["dilations"]), best["fitness"], best["seed"]) == offered[-1]
+
+        def spy_replace(src, dst):
+            replaced.append((Path(src).name, Path(dst).name))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(globalsearch._Logs, "log_best", spy_log_best)
+        monkeypatch.setattr(globalsearch.os, "replace", spy_replace)
+        cfg = _config(SPACE_3, 5, iterations=12, p_m=0.8, p_s=0.3)
+        run_global_search(cfg, SurrogateFitness((4, 1, 2, 2, 1)).as_trainer(), 2,
+                          log_dir=tmp_path)
+        assert len(offered) == 1 + 12  # one offer per checkpoint
+        changes = 1 + sum(a != b for a, b in zip(offered, offered[1:]))
+        assert 1 < changes < len(offered)
+        assert replaced == [("best.json.tmp", "best.json")] * changes
+
+    def test_failed_search_leaves_the_last_best_json(self, tmp_path):
+        """A trainer that raises in generation k leaves the best of
+        generations 0..k-1 in ``best.json``, and no temporary file."""
+        target, seed, k = (4, 1, 2, 2, 1), 2, 4
+        done = _CountingTrainer(target)
+        members, trajectory = run_global_search(
+            _config(SPACE_3, 5, iterations=k - 1, p_m=0.8, p_s=0.3), done, seed,
+            log_dir=tmp_path / "done",
+        )
+        assert trajectory[-1][1] > trajectory[0][1]  # the best moved after generation 0
+        longer = _CountingTrainer(target)
+        run_global_search(_config(SPACE_3, 5, iterations=k, p_m=0.8, p_s=0.3), longer, seed)
+        assert len(longer.calls) > len(done.calls)  # generation k trains something new
+
+        class Stop(Exception):
+            pass
+
+        class RaisingTrainer(_CountingTrainer):
+            def __call__(self, genome, epochs, seed):
+                if len(self.calls) == len(done.calls):
+                    raise Stop
+                return super().__call__(genome, epochs, seed)
+
+        with pytest.raises(Stop):
+            run_global_search(
+                _config(SPACE_3, 5, iterations=k + 3, p_m=0.8, p_s=0.3), RaisingTrainer(target),
+                seed, log_dir=tmp_path / "failed",
+            )
+        failed = tmp_path / "failed"
+        assert (failed / "best.json").read_bytes() == (tmp_path / "done" / "best.json").read_bytes()
+        best = json.loads((failed / "best.json").read_text())
+        assert best["dilations"] == list(members[0].genome.dilations)
+        assert (best["fitness"], best["seed"]) == (members[0].fitness, members[0].seed)
+        assert sorted(p.name for p in failed.iterdir()) == [
+            "best.json", "population_log.csv", "trajectory.csv"
+        ]
 
     def test_evaluate_is_looked_up_at_call_time(self, monkeypatch):
         # a set-up probe replaces the module attribute to stop the search
