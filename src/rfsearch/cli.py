@@ -7,7 +7,9 @@ and ``LayerSpec``, ``training`` -> ``TrainSettings``, ``local`` ->
 ``global`` and ``oracle.ga`` -> ``GlobalConfig``).  JSON types are strict: a
 bool must be ``true``/``false``, an int must be neither a float nor a bool,
 and ``null`` is accepted only where the default is null.  Any invalid value
-is a config error, raised before a run directory or task data exists.
+is a config error, raised before a run directory or task data exists.  The
+``--init`` structure files (``best.json``, ``final_structure.json``) are read
+by the same rules into ``DilationGenome`` or ``ParallelStructure``.
 
 All randomness flows from ``master_seed`` through named sub-streams (see
 ``seeding``).  Every run directory receives ``resolved_config.json``, the same
@@ -41,7 +43,6 @@ from .genome import (
     SearchSpace,
     build_space,
     format_genome_string,
-    genome_from_json,
     parse_genome_string,
     random_genome,
 )
@@ -49,12 +50,11 @@ from .globalsearch import GlobalConfig, run_global_search
 from .localsearch import (
     PMF_KINDS,
     LocalConfig,
-    ParallelLayer,
     ParallelStructure,
     parallel_param_count,
     run_local_search,
 )
-from .network import LayerSpec, NetworkSpec, Trainer, TrainSettings
+from .network import NetworkSpec, Trainer, TrainSettings
 from .oracle import SurrogateFitness, random_search
 from .tasks import TaskSpec, generate
 from .tensorops import keep_heap
@@ -120,6 +120,10 @@ class ExperimentConfig:
     surrogate: SurrogateFitness | None = None
     oracle_cfg: OracleConfig | None = None
 
+    def __post_init__(self):
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
+
 
 # config key -> ExperimentConfig field
 _SECTIONS = {"task": "task", "network": "network", "training": "training",
@@ -127,11 +131,13 @@ _SECTIONS = {"task": "task", "network": "network", "training": "training",
              "oracle": "oracle_cfg"}
 # fields set from other sections or by the command, not read from keys
 _GA_FIXED = ("space", "genome_length")
-_NET_FIXED = ("in_channels", "num_classes", "layers")
+# keys a structure file records beside the structure itself
+_RECORDED = ("type", "kernel_sizes", "extra_parameters", "fitness", "seed")
 
 
 def _value(value, hint, default, where: str):
-    """``value`` checked against the type ``hint``; JSON lists become tuples."""
+    """``value`` checked against the type ``hint``; JSON lists become tuples
+    and JSON objects the dataclass ``hint`` names."""
     if value is None:
         if default is None:
             return None
@@ -145,6 +151,8 @@ def _value(value, hint, default, where: str):
         return tuple(
             _value(v, item, dataclasses.MISSING, f"{where}[{i}]") for i, v in enumerate(value)
         )
+    if dataclasses.is_dataclass(hint):
+        return _read(_object(value, where), hint, where)
     if hint is float and type(value) in (int, float):
         if not math.isfinite(value):
             raise ConfigError(f"{where} must be finite, got {value}")
@@ -209,15 +217,12 @@ def _space(keys: _SpaceKeys, where: str, cap: int | None) -> SearchSpace:
 def _read_network(section: dict, task: TaskSpec | None) -> NetworkSpec:
     if task is None:
         raise ConfigError("a network section needs a task section")
-    layers = section.pop("layers", None)
-    if type(layers) is not list or not layers:
-        raise ConfigError("network.layers is required and must be a non-empty list")
-    specs = tuple(
-        _read(_object(layer, f"network.layers[{i}]"), LayerSpec, f"network.layers[{i}]")
-        for i, layer in enumerate(layers)
-    )
-    return _read(section, NetworkSpec, "network", in_channels=task.in_channels,
-                 num_classes=task.num_classes, layers=specs)
+    network = _read(section, NetworkSpec, "network", in_channels=task.in_channels,
+                    num_classes=task.num_classes)
+    if network.head != "classifier":
+        raise ConfigError(f"network.head must be 'classifier' (every task has class "
+                          f"labels), got {network.head!r}")
+    return network
 
 
 def _read_global(section: dict, task, network, surrogate) -> GlobalConfig:
@@ -246,17 +251,17 @@ def _read_oracle(section: dict) -> OracleConfig:
     return dataclasses.replace(oracle, ga=ga, surrogate=surrogate)
 
 
-def load_config(path) -> ExperimentConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+def _json_file(path: Path, what: str) -> dict:
+    """The JSON object in the file at ``path``; anything else is a config error."""
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config file {path} must contain a JSON object")
-    doc = dict(doc)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{what} {path} is not a readable JSON file: {exc}") from exc
+    return _object(doc, f"{what} {path}")
+
+
+def load_config(path) -> ExperimentConfig:
+    doc = _json_file(Path(path), "config file")
     sec = {key: _object(doc.pop(key), key) for key in _SECTIONS if key in doc}
     top = _fields(doc, ExperimentConfig, "", skip=_SECTIONS.values())
     _no_leftovers(doc, "top level")
@@ -270,7 +275,9 @@ def load_config(path) -> ExperimentConfig:
     local = _read(sec["local"], LocalConfig, "local") if "local" in sec else None
     if local is not None and local.max_dilation is None and task is not None:
         local = dataclasses.replace(local, max_dilation=task.sequence_length - 1)
-    return ExperimentConfig(
+    return _build(
+        ExperimentConfig,
+        "config",
         **top,
         task=task,
         network=network,
@@ -289,9 +296,17 @@ def _doc(obj, skip=()) -> dict:
     doc = {}
     for f in dataclasses.fields(obj):
         if f.name not in skip:
-            value = getattr(obj, f.name)
-            doc[f.name] = list(value) if isinstance(value, tuple) else value
+            doc[f.name] = _json_value(getattr(obj, f.name))
     return doc
+
+
+def _json_value(value):
+    """The inverse of ``_value``: tuples become lists and dataclasses objects."""
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    if dataclasses.is_dataclass(value):
+        return _doc(value)
+    return value
 
 
 def _space_doc(space: SearchSpace) -> dict:
@@ -305,10 +320,7 @@ def _resolved_config_doc(cfg: ExperimentConfig) -> dict:
     if cfg.task is not None:
         doc["task"] = _doc(cfg.task)
     if cfg.network is not None:
-        doc["network"] = {
-            **_doc(cfg.network, skip=_NET_FIXED),
-            "layers": [_doc(layer) for layer in cfg.network.layers],
-        }
+        doc["network"] = _doc(cfg.network, skip=("in_channels", "num_classes"))
     if cfg.surrogate is not None:
         doc["surrogate"] = _doc(cfg.surrogate)
     if cfg.local_cfg is not None:
@@ -339,57 +351,42 @@ def _build_trainer(cfg: ExperimentConfig) -> Trainer:
 
 
 def _load_init(init: str, spec: NetworkSpec) -> DilationGenome | ParallelStructure:
-    """``--init``: 'baseline', 'd1,d2,...', or the path of a genome or
-    parallel-structure JSON file (read once)."""
+    """``--init``: 'baseline', 'd1,d2,...', or the path of a structure file,
+    read by the config's rules; its ``type`` (default 'genome', as ``best.json``
+    has none) picks the structure, and its other recorded keys are ignored."""
     if init == "baseline":
         return _build(spec.baseline_genome, "--init baseline")
     path = Path(init)
-    text = path.read_text() if path.exists() else None
-    parallel = False
-    try:
-        if text is None:
-            loaded = parse_genome_string(init)
-        else:
-            doc = json.loads(text)
-            parallel = isinstance(doc, dict) and doc.get("type") == "parallel"
-            if parallel:
-                loaded = ParallelStructure(tuple(
-                    ParallelLayer(tuple(int(d) for d in l["dilations"]),
-                                  tuple(float(a) for a in l["alphas"]))
-                    for l in doc["layers"]
-                ))
+    if not path.exists():
+        where = "--init must be 'baseline', a structure file, or 'd1,d2,...'"
+        loaded = _build(parse_genome_string, where, init)
+    else:
+        doc = _json_file(path, "--init")
+        kind = doc.get("type", "genome")
+        for key in _RECORDED:
+            doc.pop(key, None)
+        try:
+            if kind == "parallel":
+                loaded = _read(doc, ParallelStructure, kind)
+            elif kind == "genome":
+                loaded = _read(doc, DilationGenome, kind)
             else:
-                loaded, _ = genome_from_json(text)
-    except (KeyError, TypeError, ValueError) as exc:
-        if parallel:
-            raise ConfigError(f"--init {init} is not a valid structure: {exc!r}") from exc
-        raise ConfigError(
-            f"--init must be 'baseline', a genome JSON path, or 'd1,d2,...': {exc}"
-        ) from exc
+                raise ConfigError(f"type must be 'genome' or 'parallel', got {json.dumps(kind)}")
+        except ConfigError as exc:
+            raise ConfigError(f"--init {init} is not a valid structure: {exc}") from exc
+    searched = len(loaded.layers) if isinstance(loaded, ParallelStructure) else len(loaded)
     length = len(spec.searched_layer_indices())
-    if parallel and len(loaded.layers) != length:
-        raise ConfigError(f"structure has {len(loaded.layers)} layers, network expects {length}")
-    if not parallel and len(loaded) != length:
-        raise ConfigError(f"initial genome has {len(loaded)} genes, network expects {length}")
+    if searched != length:
+        raise ConfigError(f"--init {init} sets {searched} layers, the network searches {length}")
     return loaded
 
 
 def _structure_doc(result, kernel_sizes) -> dict:
+    """``result`` as a structure file: the structure plus its recorded keys."""
+    doc = {**_doc(result), "type": "genome", "kernel_sizes": list(kernel_sizes)}
     if isinstance(result, ParallelStructure):
-        return {
-            "type": "parallel",
-            "layers": [
-                {"dilations": list(l.dilations), "alphas": list(l.alphas)}
-                for l in result.layers
-            ],
-            "kernel_sizes": list(kernel_sizes),
-            "extra_parameters": parallel_param_count(result),
-        }
-    return {
-        "type": "genome",
-        "dilations": list(result.dilations),
-        "kernel_sizes": list(kernel_sizes),
-    }
+        doc.update(type="parallel", extra_parameters=parallel_param_count(result))
+    return doc
 
 
 # --------------------------------------------------------------------------
@@ -644,7 +641,7 @@ def main(argv=None) -> int:
                               f"serially, got --jobs {args.jobs}")
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg = dataclasses.replace(cfg, master_seed=args.seed)
+            cfg = _build(dataclasses.replace, "--seed", cfg, master_seed=args.seed)
         if args.command == "global":
             return cmd_global(cfg, jobs=args.jobs)
         if args.command == "local":

@@ -22,7 +22,6 @@ __all__ = [
     "random_genome",
     "receptive_field",
     "genome_to_json",
-    "genome_from_json",
     "parse_genome_string",
     "format_genome_string",
 ]
@@ -140,19 +139,6 @@ def genome_to_json(
         "seed": None if seed is None else int(seed),
     }
     return json.dumps(doc, sort_keys=True)
-
-
-def genome_from_json(text: str) -> tuple[DilationGenome, dict]:
-    doc = json.loads(text)
-    if "dilations" not in doc:
-        raise ValueError("genome JSON must contain a 'dilations' field")
-    genome = DilationGenome(tuple(int(d) for d in doc["dilations"]))
-    meta = {
-        "kernel_sizes": doc.get("kernel_sizes"),
-        "fitness": doc.get("fitness"),
-        "seed": doc.get("seed"),
-    }
-    return genome, meta
 
 
 def parse_genome_string(text: str) -> DilationGenome:

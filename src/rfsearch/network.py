@@ -273,10 +273,6 @@ class Trainer:
         self.settings = settings
         self.seed = seed
 
-    @property
-    def genome_length(self) -> int:
-        return len(self.net_spec.searched_layer_indices())
-
     # -- candidate evaluation (genetic search callback) ---------------------
 
     def __call__(self, genome: DilationGenome, epochs: int, seed: int):
@@ -289,11 +285,11 @@ class Trainer:
 
     # -- finalized structures -------------------------------------------------
 
-    def build_structure_net(self, structure, rng, pmf_kind: str = "abs") -> DilatedNet:
+    def build_structure_net(self, structure, rng) -> DilatedNet:
         """Fresh network for a finalized structure (genome or parallel)."""
         if not isinstance(structure, (DilationGenome, ParallelStructure)):
             raise TypeError(f"cannot build a net from {type(structure).__name__}")
-        return DilatedNet(self.net_spec, structure, rng, pmf_kind)
+        return DilatedNet(self.net_spec, structure, rng)
 
     def train_structure(self, structure, epochs: int, seed: int):
         """Retrain a finalized structure from scratch; branch sets stay frozen,

@@ -68,6 +68,8 @@ class TaskSpec:
             raise ValueError(f"unknown task kind {self.kind!r}")
         if self.sequence_length < 1 or self.train_size < 1 or self.val_size < 1:
             raise ValueError("sizes must be >= 1")
+        if self.seed < 0 or self.permutation_seed < 0:
+            raise ValueError("seed and permutation_seed must be >= 0")
         object.__setattr__(self, "windows", tuple(int(w) for w in self.windows))
         if self.kind == "lagged_copy":
             if self.lag < 0:
@@ -239,6 +241,9 @@ def gen_permuted_pixels(spec: TaskSpec) -> TaskData:
         raise ValueError(
             f"need {total} examples, file has {images.shape[0]}"
         )
+    if labels.min() < 0 or labels.max() >= spec.num_classes:
+        raise ValueError(f"labels must lie in [0, {spec.num_classes}), got "
+                         f"[{labels.min()}, {labels.max()}]")
     n, h, w = images.shape
     T = h * w
     perm = seeding.derive_rng(spec.permutation_seed, "pixel-permutation").permutation(T)
@@ -250,9 +255,8 @@ def gen_permuted_pixels(spec: TaskSpec) -> TaskData:
     mask[:, -1] = True
     tr = slice(0, spec.train_size)
     va = slice(spec.train_size, total)
-    classes = int(labels.max()) + 1
     return TaskData(
-        flat[tr], y[tr], mask[tr], flat[va], y[va], mask[va], classes, 1
+        flat[tr], y[tr], mask[tr], flat[va], y[va], mask[va], spec.num_classes, 1
     )
 
 

@@ -89,9 +89,6 @@ class ConvKernel:
     def kernel_size(self) -> int:
         return self.weights.shape[2]
 
-    def copy(self) -> "ConvKernel":
-        return ConvKernel(self.weights.copy(), self.bias.copy())
-
 
 def init_kernel(
     rng: np.random.Generator, out_channels: int, in_channels: int, kernel_size: int

@@ -40,19 +40,22 @@ def _surrogate_global_config(tmp_path, out_name="run", **overrides):
     return _write(tmp_path / "cfg.json", doc)
 
 
+_TASK = {
+    "kind": "lagged_copy",
+    "sequence_length": 24,
+    "train_size": 48,
+    "val_size": 24,
+    "lag": 3,
+    "num_symbols": 4,
+    "seed": 1,
+}
+
+
 def _task_config(tmp_path, out_name="run", **extra):
     doc = {
         "master_seed": 3,
         "output_dir": str(tmp_path / out_name),
-        "task": {
-            "kind": "lagged_copy",
-            "sequence_length": 24,
-            "train_size": 48,
-            "val_size": 24,
-            "lag": 3,
-            "num_symbols": 4,
-            "seed": 1,
-        },
+        "task": _TASK,
         "network": {
             "layers": [{"kernel_size": 2, "channels": 6}],
             "head": "classifier",
@@ -94,6 +97,10 @@ class TestConfigLoading:
         path.write_text("{not json")
         with pytest.raises(ConfigError):
             load_config(path)
+
+    def test_directory_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="not a readable JSON file"):
+            load_config(tmp_path)
 
 
 class TestGlobalCommand:
@@ -586,6 +593,18 @@ _INVALID_CONFIGS = [
         {"global": _GA, "network": {"layers": [{"kernel_size": 2}], "padding_mode": "bogus"}},
         id="padding-mode",
     ),
+    pytest.param("global", {"global": _GA, "network": {"layers": []}}, id="layers-empty"),
+    pytest.param("global", {"global": _GA, "network": {"layers": [2]}}, id="layer-not-object"),
+    # every task has class labels, so the CLI trains classifiers only
+    pytest.param(
+        "global",
+        {"global": _GA, "network": {"layers": [{"kernel_size": 2}], "head": "regressor"}},
+        id="head-regressor",
+    ),
+    pytest.param("global", {"global": _GA, "master_seed": -1}, id="master-seed-negative"),
+    pytest.param("global", {"global": _GA, "task": {**_TASK, "seed": -1}}, id="task-seed-negative"),
+    pytest.param("global", {"global": _GA, "task": {**_TASK, "permutation_seed": -1}},
+                 id="permutation-seed-negative"),
 ]
 
 
@@ -603,6 +622,72 @@ def test_invalid_config_exits_2_before_any_output(
     assert main([command, "--config", cfg]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "run").exists()
+
+
+def test_negative_seed_flag_exits_2_before_any_output(tmp_path, capsys):
+    cfg = _task_config(tmp_path, **{"global": _GA})
+    assert main(["global", "--config", cfg, "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --seed: master_seed must be >= 0, got -1\n"
+    assert not (tmp_path / "run").exists()
+
+
+# --init files that are not a structure of the config's JSON types
+_INVALID_INITS = [
+    pytest.param({"dilations": "12"}, id="dilations-string"),
+    pytest.param({"dilations": [True, 2.9]}, id="dilations-bool-float"),
+    pytest.param({"fitness": 0.5, "seed": 3}, id="dilations-missing"),
+    pytest.param({"dilations": []}, id="dilations-empty"),
+    pytest.param({"dilations": [2], "bogus": 1}, id="unknown-key"),
+    pytest.param({"type": "bogus", "dilations": [2]}, id="type-bogus"),
+    pytest.param({"type": "parallel", "layers": [{"dilations": [1, 2], "alphas": [True, 0.5]}]},
+                 id="alpha-true"),
+    pytest.param({"type": "parallel", "layers": [[1, 2]]}, id="layer-not-object"),
+    pytest.param([2], id="not-an-object"),
+    pytest.param(None, id="directory"),
+]
+
+
+@pytest.mark.parametrize("command", ["local", "train"])
+@pytest.mark.parametrize("structure", _INVALID_INITS)
+def test_invalid_init_exits_2_before_any_output(tmp_path, capsys, command, structure):
+    spath = tmp_path / "structure.json"
+    if structure is None:
+        spath.mkdir()
+    else:
+        spath.write_text(json.dumps(structure))
+    cfg = _task_config(tmp_path, local=_LOCAL)
+    assert main([command, "--config", cfg, "--init", str(spath)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: --init {spath} ")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "command, sections, flags, written",
+    [
+        pytest.param("global", {"global": _GA}, [], "best.json", id="best-network"),
+        pytest.param("global", {"surrogate": {"target": [4, 2]}, "global": _GA}, [],
+                     "best.json", id="best-surrogate"),
+        pytest.param("local", {}, ["--init", "3,5"], "final_structure.json",
+                     id="final-genome"),
+        pytest.param("local", {}, ["--init", "3,5", "--parallel"], "final_structure.json",
+                     id="final-parallel"),
+    ],
+)
+def test_written_structures_read_back_through_init(tmp_path, command, sections, flags, written):
+    """``train --init`` of a structure file the CLI wrote trains that very
+    structure: train_metrics.json records it as the file does."""
+    network = {"layers": [{"kernel_size": 2, "channels": 4}] * 2}
+    cfg = _task_config(tmp_path, network=network, local=_LOCAL, **sections)
+    assert main([command, "--config", cfg, *flags]) == 0
+    path = tmp_path / "run" / written
+    assert main(["train", "--config", cfg, "--init", str(path), "--epochs", "1"]) == 0
+    recorded = json.loads(path.read_text())
+    trained = json.loads((tmp_path / "run" / "train_metrics.json").read_text())["structure"]
+    if written == "best.json":
+        assert trained == {"type": "genome", "dilations": recorded["dilations"],
+                           "kernel_sizes": [2, 2]}
+    else:
+        assert trained == recorded
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])

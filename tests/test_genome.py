@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,6 @@ from rfsearch.genome import (
     DilationGenome,
     build_space,
     format_genome_string,
-    genome_from_json,
     genome_to_json,
     parse_genome_string,
     random_genome,
@@ -153,8 +154,7 @@ class TestGenesArePythonInts:
 
     def test_genes_serialize(self):
         g = random_genome(NUMPY_SPACE, 4, np.random.default_rng(3))
-        back, _ = genome_from_json(genome_to_json(g))
-        assert back == g
+        assert json.loads(genome_to_json(g))["dilations"] == list(g.dilations)
         assert parse_genome_string(format_genome_string(g)) == g
 
 
@@ -162,11 +162,9 @@ class TestSerialization:
     def test_round_trip_examples(self):
         g = DilationGenome((1, 8, 64))
         text = genome_to_json(g, kernel_sizes=[3, 3, 3], fitness=0.73125, seed=99)
-        back, meta = genome_from_json(text)
-        assert back == g
-        assert meta["kernel_sizes"] == [3, 3, 3]
-        assert meta["fitness"] == 0.73125
-        assert meta["seed"] == 99
+        assert json.loads(text) == {
+            "dilations": [1, 8, 64], "kernel_sizes": [3, 3, 3], "fitness": 0.73125, "seed": 99,
+        }
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -177,14 +175,9 @@ class TestSerialization:
         ),
     )
     def test_round_trip_is_bit_exact(self, dil, fitness):
-        g = DilationGenome(tuple(dil))
-        back, meta = genome_from_json(genome_to_json(g, fitness=fitness))
-        assert back == g
-        assert meta["fitness"] == fitness
-
-    def test_missing_dilations_rejected(self):
-        with pytest.raises(ValueError):
-            genome_from_json("{}")
+        doc = json.loads(genome_to_json(DilationGenome(tuple(dil)), fitness=fitness))
+        assert doc["dilations"] == dil
+        assert repr(doc["fitness"]) == repr(fitness)  # -0.0 stays -0.0
 
     def test_genome_string_round_trip(self):
         g = DilationGenome((4, 1, 512))

@@ -265,3 +265,19 @@ class TestIdxAndPermutedPixels:
         again = generate(spec)
         assert np.array_equal(again.train_x, data.train_x)
 
+    @pytest.mark.parametrize("top_label, ok", [(4, True), (9, True), (10, False)])
+    def test_permuted_pixels_has_the_spec_class_count(self, tmp_path, top_label, ok):
+        images = np.zeros((4, 2, 2), dtype=np.uint8)
+        _write_idx(tmp_path / "imgs.idx", images)
+        _write_idx(tmp_path / "labels.idx", np.array([0, 1, 2, top_label], dtype=">i4"))
+        spec = TaskSpec(
+            kind="permuted_pixels", train_size=2, val_size=2,
+            images_path=str(tmp_path / "imgs.idx"),
+            labels_path=str(tmp_path / "labels.idx"),
+        )
+        if ok:
+            assert generate(spec).num_classes == spec.num_classes == 10
+        else:
+            with pytest.raises(ValueError, match=r"labels must lie in \[0, 10\)"):
+                generate(spec)
+
