@@ -4,7 +4,11 @@ Each kernel loops over the taps in Python and does the channel contraction
 of one tap with one ``np.matmul`` (BLAS) on the in-range time slice, in the
 native (batch, channel, time) layout.  With one channel on the contracted
 side the contraction is an outer product, and a broadcast multiply gives the
-same bits without the BLAS call.
+same bits without the BLAS call.  Forward and input gradient add each tap's
+product into the output on contiguous memory only (``_ShiftedSum``), in the
+same order and with the same bits as a strided ``+=`` into a bias- or
+zero-filled output; their keyword-only ``out=`` adds the result into the
+caller's array instead.
 
 Conventions: arrays are float64, layout (batch, channel, time) for sequences
 and (out_channel, in_channel, tap) for weights.  ``offsets[j]`` is the signed
@@ -24,36 +28,86 @@ __all__ = [
 ]
 
 
-def conv1d_forward(x, w, b, offsets):
+class _ShiftedSum:
+    """A base plus tap products, each placed at its output range [lo, hi)
+    and summed in tap order, on contiguous memory: no strided add.
+
+    Into a new array, the first product is written in place and the base
+    added next (base + p and p + base are the same bits).  A product over
+    every frame is one flat add.  Any other is one flat add of a scratch
+    array whose border is -0.0, the exact additive identity (x + -0.0 is x,
+    for x = -0.0 too).  With ``out``, the base and every product are added
+    into the caller's array."""
+
+    def __init__(self, shape, contract, base, out):
+        if out is not None and out.shape != shape:
+            raise ValueError(f"out has shape {out.shape}, expected {shape}")
+        self.shape, self.contract, self.base = shape, contract, base
+        self.acc, self.scratch = out, None
+        if out is not None and base is not None:
+            out += base
+
+    def _place(self, dest, mat, src, lo, hi, fill):
+        self.contract(mat, src, out=dest[:, :, lo:hi])
+        dest[:, :, :lo] = fill
+        dest[:, :, hi:] = fill
+        return dest
+
+    def add(self, mat, src, lo, hi):
+        if self.acc is None:
+            fill = 0.0 if self.base is None else -0.0
+            self.acc = self._place(np.empty(self.shape), mat, src, lo, hi, fill)
+            if self.base is not None:
+                self.acc += self.base
+        elif hi - lo == self.shape[2]:
+            self.acc += self.contract(mat, src)
+        else:
+            if self.scratch is None:
+                self.scratch = np.empty(self.shape)
+            self.acc += self._place(self.scratch, mat, src, lo, hi, -0.0)
+
+    def result(self):
+        if self.acc is None:  # every tap reads outside the input
+            self.acc = np.full(self.shape, 0.0 if self.base is None else -0.0)
+            if self.base is not None:
+                self.acc += self.base
+        return self.acc
+
+
+def conv1d_forward(x, w, b, offsets, *, out=None):
+    """conv(x, w) + b; with ``out``, added into ``out``, which is returned."""
     B, Cin, T = x.shape
     Cout, _, K = w.shape
     contract = np.multiply if Cin == 1 else np.matmul
-    out = np.empty((B, Cout, T))
-    out[:] = b[None, :, None]
+    # b as a (Cout, T) plane: its add runs over B contiguous rows of Cout·T
+    plane = np.repeat(b, T).reshape(Cout, T)
+    acc = _ShiftedSum((B, Cout, T), contract, plane, out)
     for j in range(K):
         off = int(offsets[j])
         lo = max(0, -off)
         hi = min(T, T - off)
-        if lo >= hi:
-            continue
-        out[:, :, lo:hi] += contract(w[:, :, j], x[:, :, lo + off : hi + off])
-    return out
+        if lo < hi:
+            acc.add(w[:, :, j], x[:, :, lo + off : hi + off], lo, hi)
+    return acc.result()
 
 
-def conv1d_grad_input(grad_out, w, offsets):
+def conv1d_grad_input(grad_out, w, offsets, *, out=None):
+    """The input gradient of conv1d_forward; with ``out``, added into ``out``,
+    which is returned."""
     B, Cout, T = grad_out.shape
     Cin = w.shape[1]
     K = offsets.shape[0]
     contract = np.multiply if Cout == 1 else np.matmul
-    gx = np.zeros((B, Cin, T))
+    # A zero-filled sum starts 0.0 + p.  matmul sums from +0.0, so its p is
+    # never -0.0 and needs no base; a one-channel multiply can give -0.0.
+    acc = _ShiftedSum((B, Cin, T), contract, 0.0 if Cout == 1 else None, out)
     for j in range(K):
         off = int(offsets[j])
         lo = max(0, -off)
         hi = min(T, T - off)
-        if lo >= hi:
-            continue
-        gx[:, :, lo + off : hi + off] += contract(w[:, :, j].T, grad_out[:, :, lo:hi])
-    return gx
+        if lo < hi:
+            acc.add(w[:, :, j].T, grad_out[:, :, lo:hi], lo + off, hi + off)
+    return acc.result()
 
 
 def conv1d_grad_weights(grad_out, x, kernel_size, offsets):

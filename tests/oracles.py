@@ -28,6 +28,44 @@ def naive_dilated_conv1d(x, weights, bias, dilation, padding_mode="causal"):
     return out
 
 
+def naive_offset_conv1d(x, weights, bias, offsets):
+    """Direct per-entry convolution over arbitrary signed tap offsets: tap j
+    reads x[..., t + offsets[j]] for output frame t, zero outside [0, T)."""
+    B, Cin, T = x.shape
+    Cout, _, K = weights.shape
+    out = np.zeros((B, Cout, T))
+    for bi in range(B):
+        for o in range(Cout):
+            for t in range(T):
+                acc = bias[o]
+                for c in range(Cin):
+                    for j in range(K):
+                        s = t + int(offsets[j])
+                        if 0 <= s < T:
+                            acc += weights[o, c, j] * x[bi, c, s]
+                out[bi, o, t] = acc
+    return out
+
+
+def naive_offset_conv1d_grads(grad_out, x, weights, offsets):
+    """Input and weight gradients of naive_offset_conv1d, one multiply-add
+    per (output entry, input channel, tap) that reads in range."""
+    B, Cin, T = x.shape
+    Cout, _, K = weights.shape
+    gx = np.zeros((B, Cin, T))
+    gw = np.zeros((Cout, Cin, K))
+    for bi in range(B):
+        for o in range(Cout):
+            for t in range(T):
+                for c in range(Cin):
+                    for j in range(K):
+                        s = t + int(offsets[j])
+                        if 0 <= s < T:
+                            gx[bi, c, s] += weights[o, c, j] * grad_out[bi, o, t]
+                            gw[o, c, j] += grad_out[bi, o, t] * x[bi, c, s]
+    return gx, gw
+
+
 def central_difference(f, array, step=1e-5):
     """Numerical gradient of scalar f() with respect to `array` (in place)."""
     grad = np.zeros_like(array, dtype=np.float64)

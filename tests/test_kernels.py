@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import naive_dilated_conv1d
+from oracles import naive_dilated_conv1d, naive_offset_conv1d, naive_offset_conv1d_grads
 from rfsearch import _kernels
 from rfsearch.tensorops import tap_offsets
 
@@ -89,6 +91,28 @@ def test_kernels_take_views_and_return_fresh_arrays(rng, mode):
         np.testing.assert_allclose(got, contiguous, rtol=1e-12, atol=1e-12)
 
 
+def _strided_reference(x, w, b, go, offsets, one_channel=np.matmul):
+    """Forward and input gradient as the kernels once computed them: a
+    sliced matmul per tap (``one_channel`` where the contracted side has one
+    channel), added with a strided += into a bias- or zero-filled output."""
+    (B, Cin, T), Cout = x.shape, w.shape[0]
+    forward = one_channel if Cin == 1 else np.matmul
+    backward = one_channel if Cout == 1 else np.matmul
+    out = np.empty((B, Cout, T))
+    out[:] = b[None, :, None]
+    gx = np.zeros((B, Cin, T))
+    for j, off in enumerate(int(o) for o in offsets):
+        lo, hi = max(0, -off), min(T, T - off)
+        if lo < hi:
+            out[:, :, lo:hi] += forward(w[:, :, j], x[:, :, lo + off : hi + off])
+            gx[:, :, lo + off : hi + off] += backward(w[:, :, j].T, go[:, :, lo:hi])
+    return out, gx
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 @pytest.mark.parametrize(
     "B,Cin,Cout,T,K,d,mode", [c for c in CASES if c[1] == 1 or c[2] == 1]
 )
@@ -98,15 +122,76 @@ def test_one_channel_contraction_matches_matmul_bit_for_bit(rng, B, Cin, Cout, T
     x, w, b = _random_case(rng, B, Cin, Cout, T, K)
     go = rng.standard_normal((B, Cout, T))
     offsets = tap_offsets(K, d, mode)
-    out = np.empty((B, Cout, T))
-    out[:] = b[None, :, None]
-    gx = np.zeros((B, Cin, T))
-    for j, off in enumerate(int(o) for o in offsets):
-        lo, hi = max(0, -off), min(T, T - off)
-        if lo < hi:
-            out[:, :, lo:hi] += w[:, :, j] @ x[:, :, lo + off : hi + off]
-            gx[:, :, lo + off : hi + off] += w[:, :, j].T @ go[:, :, lo:hi]
-    got_out = _kernels.conv1d_forward(x, w, b, offsets)
-    got_gx = _kernels.conv1d_grad_input(go, w, offsets)
-    assert np.array_equal(got_out.view(np.int64), out.view(np.int64))
-    assert np.array_equal(got_gx.view(np.int64), gx.view(np.int64))
+    out, gx = _strided_reference(x, w, b, go, offsets)
+    assert _same_bits(_kernels.conv1d_forward(x, w, b, offsets), out)
+    assert _same_bits(_kernels.conv1d_grad_input(go, w, offsets), gx)
+
+
+@pytest.mark.parametrize("zeros", [False, True])
+@pytest.mark.parametrize("B,Cin,Cout,T,K,d,mode", CASES)
+def test_contiguous_accumulation_matches_strided_adds_bit_for_bit(
+    rng, B, Cin, Cout, T, K, d, mode, zeros
+):
+    # The kernels add each tap's product on contiguous memory, through a
+    # border of -0.0; the sum must keep the strided adds' order and bits,
+    # signed zeros included (a -0.0 bias, zero weights, -0.0 gradients).
+    # A one-channel multiply gives 0.0 * -1.0 = -0.0 where matmul sums to
+    # +0.0, so the reference contracts as the kernels do.
+    x, w, b = _random_case(rng, B, Cin, Cout, T, K)
+    go = rng.standard_normal((B, Cout, T))
+    if zeros:
+        b[0] = -0.0
+        w[:, :, 0] = 0.0
+        go[:, :, ::3] = -0.0
+    offsets = tap_offsets(K, d, mode)
+    out, gx = _strided_reference(x, w, b, go, offsets, one_channel=np.multiply)
+    assert _same_bits(_kernels.conv1d_forward(x, w, b, offsets), out)
+    assert _same_bits(_kernels.conv1d_grad_input(go, w, offsets), gx)
+
+
+@pytest.mark.parametrize("B,Cin,Cout,T,K,d,mode", CASES)
+def test_out_accumulates_into_the_callers_array(rng, B, Cin, Cout, T, K, d, mode):
+    x, w, b = _random_case(rng, B, Cin, Cout, T, K)
+    go = rng.standard_normal((B, Cout, T))
+    offsets = tap_offsets(K, d, mode)
+    calls = [
+        (_kernels.conv1d_forward, (x, w, b, offsets), (B, Cout, T)),
+        (_kernels.conv1d_grad_input, (go, w, offsets), (B, Cin, T)),
+    ]
+    for kernel, args, shape in calls:
+        fresh = kernel(*args)
+        acc = rng.standard_normal(shape)
+        before = acc.copy()
+        assert kernel(*args, out=acc) is acc
+        np.testing.assert_allclose(acc, before + fresh, rtol=1e-12, atol=1e-12)
+        with pytest.raises(ValueError):
+            kernel(*args, out=np.zeros((B + 1, *shape[1:])))
+
+
+@st.composite
+def _offset_cases(draw):
+    """Arbitrary tap offset sets: uneven gaps, any order, and taps that read
+    partly or wholly outside [0, T), as a union of branch taps has."""
+    T = draw(st.integers(1, 12))
+    offsets = draw(st.lists(st.integers(-T - 3, T + 3), min_size=1, max_size=5, unique=True))
+    shape = (draw(st.integers(1, 2)), draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    return T, np.array(offsets, dtype=np.int64), shape, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_offset_cases())
+def test_kernels_match_naive_loops_on_arbitrary_offsets(case):
+    T, offsets, (B, Cin, Cout), seed = case
+    K = offsets.size
+    rng = np.random.default_rng(seed)
+    x, w, b = _random_case(rng, B, Cin, Cout, T, K)
+    go = rng.standard_normal((B, Cout, T))
+    expected = naive_offset_conv1d(x, w, b, offsets)
+    expected_gx, expected_gw = naive_offset_conv1d_grads(go, x, w, offsets)
+    tol = dict(rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(_kernels.conv1d_forward(x, w, b, offsets), expected, **tol)
+    np.testing.assert_allclose(_kernels.conv1d_grad_input(go, w, offsets), expected_gx, **tol)
+    np.testing.assert_allclose(_kernels.conv1d_grad_weights(go, x, K, offsets), expected_gw, **tol)
+    acc = rng.standard_normal((B, Cout, T))
+    expected += acc
+    np.testing.assert_allclose(_kernels.conv1d_forward(x, w, b, offsets, out=acc), expected, **tol)

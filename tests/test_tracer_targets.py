@@ -26,3 +26,22 @@ def test_every_tracer_target_resolves_in_rfsearch():
         if not callable(found):
             unresolved.append(f"{mod_name}:{attr}")
     assert not unresolved, f"perfbench/tracer.py targets missing from rfsearch: {unresolved}"
+
+
+def test_kernel_positional_parameters_match_the_tracer():
+    # tracer.py::_kernel_work unpacks each kernel call's positional
+    # arguments by these names; anything added to a kernel must be
+    # keyword-only, or a traced call would pass it positionally.
+    from rfsearch import _kernels
+
+    expected = {
+        "conv1d_forward": ("x", "w", "b", "offsets"),
+        "conv1d_grad_input": ("grad_out", "w", "offsets"),
+        "conv1d_grad_weights": ("grad_out", "x", "kernel_size", "offsets"),
+    }
+    positional = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    for name, params in expected.items():
+        signature = inspect.signature(getattr(_kernels, name)).parameters.values()
+        assert tuple(p.name for p in signature if p.kind in positional) == params, name
+        assert all(p.kind in positional or p.kind == inspect.Parameter.KEYWORD_ONLY
+                   for p in signature), name
