@@ -19,11 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import seeding
+from . import _kernels, seeding
 from .genome import DilationGenome
 from .tensorops import (
     ConvKernel,
     DegenerateCoefficientsError,
+    checked_grad_out,
+    conv_tape,
     dilated_conv1d_backward,
     dilated_conv1d_forward,
 )
@@ -137,19 +139,23 @@ class MultiDilatedTape:
 
 def multi_dilated_forward(x: np.ndarray, state: MultiDilatedLayerState):
     """Weighted branch sum, sum_i alpha_i * conv(x, kernel, d_i); returns
-    (output, tape)."""
+    (output, tape).  Branch i is the conv of the scaled kernel
+    (alpha_i W, alpha_i b), added into the one output array."""
     if state.coefficients is None:  # frozen: the one branch, unscaled
         out, tape = dilated_conv1d_forward(
             x, state.kernel, state.dilations[0], state.padding_mode
         )
         return out, MultiDilatedTape(state, [tape], None)
     alpha = state.alpha()
+    kernel = state.kernel
     out = None
     tapes = []
     for a, d in zip(alpha, state.dilations):
-        y, tape = dilated_conv1d_forward(x, state.kernel, d, state.padding_mode)
+        tape = conv_tape(x, kernel, d, state.padding_mode)
+        out = _kernels.conv1d_forward(
+            tape.x, a * kernel.weights, a * kernel.bias, tape.offsets, out=out
+        )
         tapes.append(tape)
-        out = a * y if out is None else out + a * y
     return out, MultiDilatedTape(state, tapes, alpha)
 
 
@@ -158,26 +164,38 @@ def multi_dilated_backward(tape: MultiDilatedTape, grad_out: np.ndarray):
     grad_coefficients is None for a frozen single branch.
 
     Branch i's output is conv(x, W, d_i) + b, linear in (W, b), so
-    <grad_out, y_i> = <W, gw_i> + <b, gb_i> from the branch's own weight and
-    bias gradients: no branch output is kept for the coefficient gradient.
+    <grad_out, y_i> = <W, gw_i> + <b, gb> from the branch's own weight
+    gradient and the bias gradient gb = sum(grad_out), which every branch
+    shares: no branch output is kept for the coefficient gradient.
+
+    alpha folds into the shared kernel.  Each branch adds the input gradient
+    of the scaled kernel alpha_i W into one grad_x; the weight gradient is
+    sum_i alpha_i gw_i, one conv1d_grad_weights call per branch; gb is taken
+    once, and grad_bias is (sum_i alpha_i) gb.
     """
-    grad_out = np.asarray(grad_out, dtype=np.float64)
     if tape.alpha is None:
         return (*dilated_conv1d_backward(tape.branch_tapes[0], grad_out), None)
+    grad_out = checked_grad_out(tape.branch_tapes[0], grad_out)
     kernel = tape.state.kernel
+    gb = grad_out.sum(axis=(0, 2))
+    bias_pairing = float(np.dot(kernel.bias, gb))
     grad_x = None
     grad_w = None
-    grad_b = None
     grad_alpha = np.empty(len(tape.branch_tapes))
     for i, (a, btape) in enumerate(zip(tape.alpha, tape.branch_tapes)):
-        gx, gw, gb = dilated_conv1d_backward(btape, grad_out)
-        grad_alpha[i] = float(np.vdot(kernel.weights, gw)) + float(np.dot(kernel.bias, gb))
-        if grad_x is None:
-            grad_x, grad_w, grad_b = a * gx, a * gw, a * gb
+        grad_x = _kernels.conv1d_grad_input(
+            grad_out, a * kernel.weights, btape.offsets, out=grad_x
+        )
+        gw = _kernels.conv1d_grad_weights(
+            grad_out, btape.x, kernel.kernel_size, btape.offsets
+        )
+        grad_alpha[i] = float(np.vdot(kernel.weights, gw)) + bias_pairing
+        gw *= a
+        if grad_w is None:
+            grad_w = gw
         else:
-            grad_x += a * gx
-            grad_w += a * gw
-            grad_b += a * gb
+            grad_w += gw
+    grad_b = float(tape.alpha.sum()) * gb
     grad_coeff = pmf_backward(
         tape.state.coefficients, tape.state.pmf_kind, tape.alpha, grad_alpha
     )

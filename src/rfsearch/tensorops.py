@@ -25,6 +25,8 @@ __all__ = [
     "WORST_FITNESS",
     "init_kernel",
     "tap_offsets",
+    "conv_tape",
+    "checked_grad_out",
     "dilated_conv1d_forward",
     "dilated_conv1d_backward",
     "relu",
@@ -128,11 +130,11 @@ class ConvTape:
     offsets: np.ndarray
 
 
-def dilated_conv1d_forward(
+def conv_tape(
     x: np.ndarray, kernel: ConvKernel, dilation: int, padding_mode: str = "causal"
-):
-    """Same-length dilated convolution; returns (output, tape).  The tape
-    holds references only, so building it costs nothing."""
+) -> ConvTape:
+    """The tape of a same-length dilated conv: its checked float64 input and
+    the kernel's tap offsets at ``dilation``."""
     x = _as_seq_batch(x)
     if x.shape[1] != kernel.in_channels:
         raise ValueError(
@@ -143,16 +145,32 @@ def dilated_conv1d_forward(
         raise ValueError(
             "centered mode requires (kernel_size-1)*dilation < sequence length"
         )
-    out = _kernels.conv1d_forward(x, kernel.weights, kernel.bias, offsets)
-    return out, ConvTape(x, kernel, offsets)
+    return ConvTape(x, kernel, offsets)
 
 
-def dilated_conv1d_backward(tape: ConvTape, grad_out: np.ndarray):
-    """Exact adjoint of the forward pass: (grad_x, grad_weights, grad_bias)."""
+def checked_grad_out(tape: ConvTape, grad_out: np.ndarray) -> np.ndarray:
+    """``grad_out`` as float64, checked against the output shape of the conv
+    that recorded ``tape``."""
     grad_out = np.asarray(grad_out, dtype=np.float64)
     expected = (tape.x.shape[0], tape.kernel.out_channels, tape.x.shape[2])
     if grad_out.shape != expected:
         raise ValueError(f"grad_out shape {grad_out.shape}, expected {expected}")
+    return grad_out
+
+
+def dilated_conv1d_forward(
+    x: np.ndarray, kernel: ConvKernel, dilation: int, padding_mode: str = "causal"
+):
+    """Same-length dilated convolution; returns (output, tape).  The tape
+    holds references only, so building it costs nothing."""
+    tape = conv_tape(x, kernel, dilation, padding_mode)
+    out = _kernels.conv1d_forward(tape.x, kernel.weights, kernel.bias, tape.offsets)
+    return out, tape
+
+
+def dilated_conv1d_backward(tape: ConvTape, grad_out: np.ndarray):
+    """Exact adjoint of the forward pass: (grad_x, grad_weights, grad_bias)."""
+    grad_out = checked_grad_out(tape, grad_out)
     grad_x = _kernels.conv1d_grad_input(grad_out, tape.kernel.weights, tape.offsets)
     grad_w = _kernels.conv1d_grad_weights(
         grad_out, tape.x, tape.kernel.kernel_size, tape.offsets
