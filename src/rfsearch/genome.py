@@ -17,6 +17,7 @@ import numpy as np
 __all__ = [
     "SearchSpace",
     "DilationGenome",
+    "dilation_genes",
     "EvalRecord",
     "build_space",
     "random_genome",
@@ -67,6 +68,19 @@ def build_space(k: int, T: int, cap: int) -> SearchSpace:
     return SearchSpace(k=k, T=T, candidates=tuple(seen), max_dilation_cap=cap)
 
 
+def dilation_genes(values) -> tuple[int, ...]:
+    """``values`` as a tuple of Python ints.  Numpy integers convert; a bool
+    or any non-integer (a float, even 2.0) raises ValueError rather than
+    truncating to a different dilation.  Range checks are the caller's."""
+    genes = tuple(values)
+    if set(map(type, genes)) - {int}:  # only Python ints need no check
+        if any(isinstance(g, (bool, np.bool_)) or not isinstance(g, (int, np.integer))
+               for g in genes):
+            raise ValueError(f"dilations must be integers, got {genes!r}")
+        genes = tuple(map(int, genes))
+    return genes
+
+
 @dataclass(frozen=True)
 class DilationGenome:
     """Per-layer dilation rates: gene i binds the i-th searched layer."""
@@ -74,7 +88,7 @@ class DilationGenome:
     dilations: tuple[int, ...]
 
     def __post_init__(self):
-        dilations = tuple(map(int, self.dilations))
+        dilations = dilation_genes(self.dilations)
         object.__setattr__(self, "dilations", dilations)
         if not dilations:
             raise ValueError("genome must have at least one gene")

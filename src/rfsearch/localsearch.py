@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, seeding
-from .genome import DilationGenome
+from .genome import DilationGenome, dilation_genes
 from .tensorops import (
     ConvKernel,
     DegenerateCoefficientsError,
@@ -115,7 +115,7 @@ class MultiDilatedLayerState:
     padding_mode: str = "causal"
 
     def __post_init__(self):
-        self.dilations = tuple(int(d) for d in self.dilations)
+        self.dilations = dilation_genes(self.dilations)
         if self.coefficients is None:
             if len(self.dilations) != 1:
                 raise ValueError("a layer without coefficients has exactly one branch")
@@ -292,6 +292,7 @@ class ParallelLayer:
     alphas: tuple[float, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "dilations", dilation_genes(self.dilations))
         if len(self.dilations) != len(self.alphas):
             raise ValueError("one alpha per dilation is required")
         if not self.dilations:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .genome import DilationGenome, EvalRecord, SearchSpace, random_genome
+from .genome import DilationGenome, EvalRecord, SearchSpace, dilation_genes, random_genome
 
 __all__ = ["SurrogateFitness", "exhaustive_rank", "random_search", "rank_key"]
 
@@ -33,6 +33,9 @@ class SurrogateFitness:
     decoy: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "target", dilation_genes(self.target))
+        if self.decoy is not None:
+            object.__setattr__(self, "decoy", dilation_genes(self.decoy))
         if not self.target or min(self.target) < 1:
             raise ValueError(f"target must be a non-empty genome of dilations >= 1, "
                              f"got {self.target}")

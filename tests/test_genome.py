@@ -115,6 +115,18 @@ class TestGenomeValidation:
         assert DilationGenome(np.array([2, 8])).dilations == (2, 8)
         assert DilationGenome([3, 1]).dilations == (3, 1)
 
+    @pytest.mark.parametrize(
+        "dil",
+        [(2.9, True), (True,), (2, False), (np.bool_(True),), (2.0,), (np.float64(4),),
+         ("12",), (None,)],
+        ids=["float-and-bool", "bool", "false", "numpy-bool", "integral-float",
+             "numpy-float", "string", "none"],
+    )
+    def test_rejects_bool_and_non_integer_genes(self, dil):
+        # int() would truncate these to another genome: (2.9, True) -> (2, 1)
+        with pytest.raises(ValueError, match="dilations must be integers"):
+            DilationGenome(dil)
+
 
 # a space whose candidates are numpy ints: the operators must still hand back
 # Python ints, since cache keys, the CSV logs and the JSON files use the genes

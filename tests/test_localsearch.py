@@ -538,12 +538,21 @@ class TestParallelLayer:
             ((0, 2), (0.5, 0.5)),
             ((1, 2), (0.5, float("nan"))),
             ((1, 2), (float("inf"), 0.5)),
+            ((2.5, 3), (0.5, 0.5)),
+            ((2.0, 3), (0.5, 0.5)),
+            ((True, 3), (0.5, 0.5)),
         ],
-        ids=["length-mismatch", "empty", "dilation-0", "nan-alpha", "inf-alpha"],
+        ids=["length-mismatch", "empty", "dilation-0", "nan-alpha", "inf-alpha",
+             "fractional-dilation", "float-dilation", "bool-dilation"],
     )
     def test_invalid_layer_rejected(self, dilations, alphas):
         with pytest.raises(ValueError):
             ParallelLayer(dilations, alphas)
+
+    def test_numpy_integer_dilations_become_python_ints(self):
+        layer = ParallelLayer((np.int64(4), np.uint8(6)), (0.5, 0.5))
+        assert layer.dilations == (4, 6)
+        assert all(type(d) is int for d in layer.dilations)
 
 
 def test_pmf_backward_matches_finite_differences_standalone():

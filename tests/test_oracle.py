@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from rfsearch.genome import DilationGenome, build_space
@@ -40,8 +41,20 @@ class TestSurrogate:
             SurrogateFitness((1, 1), decoy=(4,))
         with pytest.raises(ValueError):
             SurrogateFitness((1, 1), decoy=(0, 4))
+        with pytest.raises(ValueError):
+            SurrogateFitness((1, 1), decoy=(4, 2.5))
         with pytest.raises(TypeError):  # the decoy alone turns the blend on
             SurrogateFitness((1, 1), deceptive=True, decoy=(4, 4))
+
+    @pytest.mark.parametrize("target", [(2.5,), (4, True), (2.0, 1), ()])
+    def test_invalid_target_rejected(self, target):
+        with pytest.raises(ValueError):
+            SurrogateFitness(target)
+
+    def test_numpy_integer_target_becomes_python_ints(self):
+        f = SurrogateFitness((np.int64(4), np.uint8(1), np.int32(2)))
+        assert f.target == TARGET and all(type(t) is int for t in f.target)
+        assert f(DilationGenome(TARGET)) == 0.0
 
     def test_trainer_adapter(self):
         trainer = SurrogateFitness(TARGET).as_trainer()
