@@ -43,9 +43,16 @@ class _ShiftedSum:
         if out is not None and out.shape != shape:
             raise ValueError(f"out has shape {out.shape}, expected {shape}")
         self.shape, self.contract, self.base = shape, contract, base
-        self.acc, self.scratch = out, None
-        if out is not None and base is not None:
-            out += base
+        # a new array's frames outside its first product, before the base
+        self.fill = 0.0 if base is None else -0.0
+        self.acc = self.scratch = None
+        if out is not None:
+            self._start(out)
+
+    def _start(self, acc):
+        if self.base is not None:
+            acc += self.base
+        self.acc = acc
 
     def _place(self, dest, mat, src, lo, hi, fill):
         self.contract(mat, src, out=dest[:, :, lo:hi])
@@ -55,10 +62,7 @@ class _ShiftedSum:
 
     def add(self, mat, src, lo, hi):
         if self.acc is None:
-            fill = 0.0 if self.base is None else -0.0
-            self.acc = self._place(np.empty(self.shape), mat, src, lo, hi, fill)
-            if self.base is not None:
-                self.acc += self.base
+            self._start(self._place(np.empty(self.shape), mat, src, lo, hi, self.fill))
         elif hi - lo == self.shape[2]:
             self.acc += self.contract(mat, src)
         else:
@@ -68,9 +72,7 @@ class _ShiftedSum:
 
     def result(self):
         if self.acc is None:  # every tap reads outside the input
-            self.acc = np.full(self.shape, 0.0 if self.base is None else -0.0)
-            if self.base is not None:
-                self.acc += self.base
+            self._start(np.full(self.shape, self.fill))
         return self.acc
 
 

@@ -175,23 +175,33 @@ def _offset_cases(draw):
     T = draw(st.integers(1, 12))
     offsets = draw(st.lists(st.integers(-T - 3, T + 3), min_size=1, max_size=5, unique=True))
     shape = (draw(st.integers(1, 2)), draw(st.integers(1, 3)), draw(st.integers(1, 3)))
-    return T, np.array(offsets, dtype=np.int64), shape, draw(st.integers(0, 2**32 - 1))
+    return T, np.array(offsets, dtype=np.int64), shape, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(_offset_cases())
 def test_kernels_match_naive_loops_on_arbitrary_offsets(case):
-    T, offsets, (B, Cin, Cout), seed = case
+    T, offsets, (B, Cin, Cout), zeros, seed = case
     K = offsets.size
     rng = np.random.default_rng(seed)
     x, w, b = _random_case(rng, B, Cin, Cout, T, K)
     go = rng.standard_normal((B, Cout, T))
+    if zeros:
+        b[0] = -0.0
+        w[:, :, 0] = 0.0
+        go[:, :, ::3] = -0.0
     expected = naive_offset_conv1d(x, w, b, offsets)
     expected_gx, expected_gw = naive_offset_conv1d_grads(go, x, w, offsets)
+    out = _kernels.conv1d_forward(x, w, b, offsets)
+    gx = _kernels.conv1d_grad_input(go, w, offsets)
     tol = dict(rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(_kernels.conv1d_forward(x, w, b, offsets), expected, **tol)
-    np.testing.assert_allclose(_kernels.conv1d_grad_input(go, w, offsets), expected_gx, **tol)
+    np.testing.assert_allclose(out, expected, **tol)
+    np.testing.assert_allclose(gx, expected_gx, **tol)
     np.testing.assert_allclose(_kernels.conv1d_grad_weights(go, x, K, offsets), expected_gw, **tol)
+    # frames no tap reaches, or reached only by a zero product, keep the
+    # strided form's signed zeros
+    strided_out, strided_gx = _strided_reference(x, w, b, go, offsets, one_channel=np.multiply)
+    assert _same_bits(out, strided_out) and _same_bits(gx, strided_gx)
     acc = rng.standard_normal((B, Cout, T))
     expected += acc
     np.testing.assert_allclose(_kernels.conv1d_forward(x, w, b, offsets, out=acc), expected, **tol)

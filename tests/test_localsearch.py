@@ -274,6 +274,15 @@ class TestMultiDilatedBackward:
             # besides shared arrays, only per-branch alphas and per-tap offsets
             assert any(a is s for s in shared) or (a.ndim == 1 and a.size <= 3), a.shape
 
+    @pytest.mark.parametrize("coefficients", [None, np.array([1.0, 2.0])])
+    def test_wrong_grad_out_shape_rejected(self, rng, coefficients):
+        x = rng.standard_normal((2, 3, 12))
+        k = _kernel(rng, 4, 3, 2)
+        dils = (2,) if coefficients is None else (2, 3)
+        _, tape = multi_dilated_forward(x, MultiDilatedLayerState(k, dils, coefficients))
+        with pytest.raises(ValueError, match="grad_out shape"):
+            multi_dilated_backward(tape, np.zeros((2, 3, 12)))
+
     def test_abs_subgradient_zero_at_kink(self, rng):
         x = rng.standard_normal((1, 1, 10))
         k = _kernel(rng, 1, 1, 2)
