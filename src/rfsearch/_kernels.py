@@ -10,6 +10,13 @@ same order and with the same bits as a strided ``+=`` into a bias- or
 zero-filled output; their keyword-only ``out=`` adds the result into the
 caller's array instead.
 
+The strided per-tap weight ``w[:, :, j]`` makes numpy copy it for every
+batch item, so forward and input gradient contract on one contiguous tap
+stack per call (``_taps``).  A matrix-by-matrix product gives the same bits
+on either layout; a product with one output row or one frame takes numpy's
+vector path, whose bits depend on the layout, so there the strided view is
+kept.
+
 Conventions: arrays are float64, layout (batch, channel, time) for sequences
 and (out_channel, in_channel, tap) for weights.  ``offsets[j]`` is the signed
 time shift of tap ``j``: tap ``j`` of the kernel reads ``x[..., t + offsets[j]]``
@@ -76,6 +83,13 @@ class _ShiftedSum:
         return self.acc
 
 
+def _taps(w, axes):
+    """``w`` transposed to ``axes`` as one contiguous stack of per-tap
+    matrices, or None when each has one row (see the module docstring)."""
+    stack = w.transpose(axes)
+    return stack.copy() if stack.shape[1] > 1 else None
+
+
 def conv1d_forward(x, w, b, offsets, *, out=None):
     """conv(x, w) + b; with ``out``, added into ``out``, which is returned."""
     B, Cin, T = x.shape
@@ -84,12 +98,14 @@ def conv1d_forward(x, w, b, offsets, *, out=None):
     # b as a (Cout, T) plane: its add runs over B contiguous rows of Cout·T
     plane = np.repeat(b, T).reshape(Cout, T)
     acc = _ShiftedSum((B, Cout, T), contract, plane, out)
+    taps = _taps(w, (2, 0, 1))
     for j in range(K):
         off = int(offsets[j])
         lo = max(0, -off)
         hi = min(T, T - off)
         if lo < hi:
-            acc.add(w[:, :, j], x[:, :, lo + off : hi + off], lo, hi)
+            tap = taps[j] if taps is not None and hi - lo > 1 else w[:, :, j]
+            acc.add(tap, x[:, :, lo + off : hi + off], lo, hi)
     return acc.result()
 
 
@@ -103,12 +119,14 @@ def conv1d_grad_input(grad_out, w, offsets, *, out=None):
     # A zero-filled sum starts 0.0 + p.  matmul sums from +0.0, so its p is
     # never -0.0 and needs no base; a one-channel multiply can give -0.0.
     acc = _ShiftedSum((B, Cin, T), contract, 0.0 if Cout == 1 else None, out)
+    taps = _taps(w, (2, 1, 0))
     for j in range(K):
         off = int(offsets[j])
         lo = max(0, -off)
         hi = min(T, T - off)
         if lo < hi:
-            acc.add(w[:, :, j].T, grad_out[:, :, lo:hi], lo + off, hi + off)
+            tap = taps[j] if taps is not None and hi - lo > 1 else w[:, :, j].T
+            acc.add(tap, grad_out[:, :, lo:hi], lo + off, hi + off)
     return acc.result()
 
 

@@ -19,6 +19,7 @@ import itertools
 import math
 import os
 import time
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -205,13 +206,21 @@ class _Logs:
         self._traj.writerow(["budget", "running_best_fitness", "seed", "method"])
         self.seed = seed
         self._best_key = None
+        self._genome_strings: dict[tuple[int, ...], str] = {}
+
+    def _genome_string(self, genome):
+        """format_genome_string, once per distinct genome."""
+        text = self._genome_strings.get(genome.dilations)
+        if text is None:
+            text = self._genome_strings[genome.dilations] = format_genome_string(genome)
+        return text
 
     def log_records(self, generation, records):
         self._pop.writerows(
             [
                 generation,
                 r.candidate_id,
-                format_genome_string(r.genome),
+                self._genome_string(r.genome),
                 repr(r.fitness),
                 r.epochs_trained,
                 r.seed,
@@ -316,6 +325,12 @@ def run_global_search(
             ))
         return out
 
+    def survivors(ranked, records):
+        """The best M of the (key, record) pairs ``ranked`` and ``records``,
+        as (key, record) pairs: a survivor's key is computed once."""
+        ranked = ranked + [(_survivor_key(r), r) for r in records]
+        return sorted(ranked, key=itemgetter(0))[:M]
+
     def checkpoint(generation, records, best):
         trajectory.append((M * (generation + 1), best.fitness))
         if logs:
@@ -324,10 +339,10 @@ def run_global_search(
             logs.log_best(best)
 
     try:
-        members = eval_batch(
+        ranked = survivors([], eval_batch(
             [random_genome(cfg.space, cfg.genome_length, rng_init) for _ in range(M)]
-        )
-        members.sort(key=_survivor_key)
+        ))
+        members = [r for _, r in ranked]
         checkpoint(0, members, members[0])
 
         for generation in range(1, cfg.iterations + 1):
@@ -348,7 +363,8 @@ def run_global_search(
                 for g in offspring
             ]
             new_records = eval_batch(offspring)
-            members = sorted(members + new_records, key=_survivor_key)[:M]
+            ranked = survivors(ranked, new_records)
+            members = [r for _, r in ranked]
             checkpoint(generation, new_records, members[0])
     finally:
         if pool_executor is not None:

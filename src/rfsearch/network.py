@@ -222,7 +222,9 @@ class DilatedNet:
         g, gw_head, gb_head = dilated_conv1d_backward(head_tape, grad_logits)
         layer_grads = []
         for (tape, a), lspec in zip(reversed(tapes), reversed(self.spec.layers)):
-            gx, gw, gb, gc = multi_dilated_backward(tape, relu_backward(a, g))
+            # g is a fresh array; a residual layer still reads it for its skip
+            g_z = relu_backward(a, g, out=None if lspec.residual else g)
+            gx, gw, gb, gc = multi_dilated_backward(tape, g_z)
             layer_grads.append((gw, gb, gc))
             g = gx + g if lspec.residual else gx
         layer_grads.reverse()

@@ -184,12 +184,13 @@ def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.maximum(x, 0.0, out=out)
 
 
-def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
+def relu_backward(x: np.ndarray, grad_out: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """grad_out where x > 0, else zero.  x may be the input or the output of
     relu, since relu(z) > 0 exactly where z > 0.  A mask multiply: an
     inactive unit gives -0.0 for a negative gradient and NaN for an infinite
-    one."""
-    return grad_out * (x > 0.0)
+    one.  ``out=grad_out`` masks in place when the caller owns grad_out."""
+    return np.multiply(grad_out, x > 0.0, out=out)
 
 
 def _normalize_mask(mask, shape):
@@ -224,20 +225,25 @@ def softmax_nll_loss(logits: np.ndarray, targets: np.ndarray, mask=None,
     if count == 0:
         raise ValueError("mask selects no frames")
 
-    log_p = logits - logits.max(axis=1, keepdims=True)
-    log_p -= np.log(np.exp(log_p).sum(axis=1, keepdims=True))  # (B, C, T)
-    picks = targets[:, None, :]
-    picked = np.take_along_axis(log_p, picks, axis=1)[:, 0, :]
-    loss = -float(picked[mask].sum()) / count
+    B, _, T = logits.shape
+    # flat index of each frame's target logit: (b·C + target)·T + t
+    flat = (np.arange(B)[:, None] * n_classes + targets) * T + np.arange(T)
+    z = logits - logits.max(axis=1, keepdims=True)
+    log_norm = np.log(np.exp(z).sum(axis=1))  # (B, T)
     if not want_grad:
-        return loss
+        # z - log_norm at the targets only: the same bits as log_p there
+        picked = z.reshape(-1)[flat] - log_norm
+        return -float(picked[mask].sum()) / count
 
+    log_p = np.subtract(z, log_norm[:, None, :], out=z)  # (B, C, T)
+    picked = log_p.reshape(-1)[flat]
+    loss = -float(picked[mask].sum()) / count
     # (softmax - onehot) * mask / count, rounded as written: subtracting the
     # mask (not 1) at the targets keeps masked frames at +0.0
-    grad = np.exp(log_p, out=log_p)
-    frames = mask[:, None, :]
-    grad *= frames
-    np.put_along_axis(grad, picks, np.take_along_axis(grad, picks, axis=1) - frames, axis=1)
+    # C order, so that reshape(-1) below is a view the scatter writes through
+    grad = np.ascontiguousarray(np.exp(log_p, out=log_p))
+    grad *= mask[:, None, :]
+    grad.reshape(-1)[flat] -= mask
     grad /= count
     return loss, grad
 

@@ -205,3 +205,24 @@ def test_kernels_match_naive_loops_on_arbitrary_offsets(case):
     acc = rng.standard_normal((B, Cout, T))
     expected += acc
     np.testing.assert_allclose(_kernels.conv1d_forward(x, w, b, offsets, out=acc), expected, **tol)
+
+
+@pytest.mark.parametrize("frames", [1, 2, 3, 64])
+@pytest.mark.parametrize("K", [2, 3])
+@pytest.mark.parametrize("B", [1, 3])
+def test_contiguous_taps_keep_the_strided_bits_on_every_small_shape(rng, B, K, frames):
+    # The kernels contract on a contiguous tap stack only where the product
+    # is matrix by matrix; with one output row (Cout = 1 forward, Cin = 1
+    # input gradient) or a one-frame slice they keep the strided view, whose
+    # bits numpy's vector path gives.  Offsets ±(T - frames) make those taps
+    # read a slice of exactly ``frames`` frames; at K = 3 a 0 offset adds a
+    # tap over every frame.
+    T = 66
+    offsets = np.array([-(T - frames), T - frames, 0][:K], dtype=np.int64)
+    for Cin in range(1, 5):
+        for Cout in range(1, 5):
+            x, w, b = _random_case(rng, B, Cin, Cout, T, K)
+            go = rng.standard_normal((B, Cout, T))
+            out, gx = _strided_reference(x, w, b, go, offsets, one_channel=np.multiply)
+            assert _same_bits(_kernels.conv1d_forward(x, w, b, offsets), out), (Cin, Cout)
+            assert _same_bits(_kernels.conv1d_grad_input(go, w, offsets), gx), (Cin, Cout)

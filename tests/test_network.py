@@ -6,7 +6,12 @@ import pytest
 from oracles import central_difference, max_rel_error
 from rfsearch import network
 from rfsearch.genome import DilationGenome, receptive_field
-from rfsearch.localsearch import LocalConfig, ParallelLayer, ParallelStructure
+from rfsearch.localsearch import (
+    LocalConfig,
+    ParallelLayer,
+    ParallelStructure,
+    multi_dilated_backward,
+)
 from rfsearch.network import (
     DilatedNet,
     LayerSpec,
@@ -16,7 +21,7 @@ from rfsearch.network import (
     count_parameters,
 )
 from rfsearch.tasks import TaskData, TaskSpec, generate
-from rfsearch.tensorops import softmax_nll_loss
+from rfsearch.tensorops import dilated_conv1d_backward, relu_backward, softmax_nll_loss
 
 
 SPEC = NetworkSpec(
@@ -114,6 +119,52 @@ class TestNetworkGradients:
         grads = net.backward(grad_out)
         for p, g in zip(net.parameters(), grads):
             assert max_rel_error(g, central_difference(loss, p)) < 1e-5
+
+
+def _out_of_place_backward(net, grad_logits):
+    """DilatedNet.backward as a loop whose ReLU masks are all new arrays, in
+    the order of ``parameters()``."""
+    tapes, head_tape = net._tapes
+    g, gw_head, gb_head = dilated_conv1d_backward(head_tape, grad_logits)
+    layer_grads = []
+    for (tape, a), lspec in zip(reversed(tapes), reversed(net.spec.layers)):
+        gx, gw, gb, gc = multi_dilated_backward(tape, relu_backward(a, g))
+        layer_grads.insert(0, (gw, gb, gc))
+        g = gx + g if lspec.residual else gx
+    grads = [p for gw, gb, _ in layer_grads for p in (gw, gb)] + [gw_head, gb_head]
+    return grads + [gc for _, _, gc in layer_grads if gc is not None]
+
+
+@pytest.mark.parametrize("branched", [False, True])
+def test_backward_masks_in_place_with_the_out_of_place_bits(branched):
+    # residual layers between plain ones: a plain layer masks its incoming
+    # gradient in place, a residual one still reads it for the skip
+    rng = np.random.default_rng(29)
+    spec = NetworkSpec(
+        in_channels=3,
+        layers=(
+            LayerSpec(3, 5),
+            LayerSpec(3, 5, residual=True),
+            LayerSpec(1, 5),
+            LayerSpec(2, 5, residual=True),
+            LayerSpec(2, 5),
+        ),
+        num_classes=4,
+    )
+    net = DilatedNet(spec, DilationGenome((1, 2, 3, 2)), rng)
+    if branched:
+        net.set_branches({1: (1, 2, 4), 3: (2, 3)}, w_init=1.0)
+    x = rng.standard_normal((3, 3, 20))
+    y = rng.integers(0, 4, size=(3, 20))
+    _, grad_logits = softmax_nll_loss(net.forward(x, train=True), y)
+    want = _out_of_place_backward(net, grad_logits)
+    got = net.backward(grad_logits)
+    assert len(got) == len(want) == len(net.parameters())
+    for g, w in zip(got, want):
+        assert np.array_equal(np.asarray(g).view(np.int64), np.asarray(w).view(np.int64))
+    a = rng.standard_normal((2, 5, 7))
+    g = rng.standard_normal(a.shape)
+    assert relu_backward(a, g, out=g) is g
 
 
 def test_evaluation_frees_each_layer_input_before_the_next_layer(rng, monkeypatch):

@@ -220,6 +220,14 @@ class TestReluBitForBit:
         a = relu(z)
         assert np.array_equal(_bits(relu_backward(a, g)), _bits(relu_backward(z, g)))
 
+    def test_in_place_backward(self, rng):
+        x = rng.standard_normal((2, 3, 16))
+        g = rng.standard_normal(x.shape)
+        want = relu_backward(x, g)
+        got = relu_backward(x, g, out=g)
+        assert got is g
+        assert np.array_equal(_bits(got), _bits(want))
+
     def test_in_place_forward(self, rng):
         z = rng.standard_normal((2, 3, 16))
         want = np.maximum(z, 0.0)
@@ -309,6 +317,44 @@ def test_softmax_nll_matches_onehot_reference_bit_for_bit(B, C, T, masked):
     assert np.all(_bits(grad.transpose(0, 2, 1)[~mask]) == 0)  # masked frames: +0.0
     only = softmax_nll_loss(logits, targets, mask if masked else None, want_grad=False)
     assert np.array_equal(_bits(only), _bits(loss))
+    assert np.array_equal(_bits(only), _bits(want_loss))
+
+
+@pytest.mark.parametrize("B,C,T,counted", [(1, 5, 12, None), (3, 1, 10, None),
+                                           (4, 6, 1, None), (3, 4, 9, 1), (1, 1, 1, 1)])
+def test_softmax_nll_edge_shapes_match_onehot_reference_bit_for_bit(B, C, T, counted):
+    # one batch item, one class, one frame, and a mask that counts one frame
+    rng = np.random.default_rng(B * 1000 + C * 10 + T)
+    logits = rng.standard_normal((B, C, T)) * 3.0
+    targets = rng.integers(0, C, size=(B, T))
+    mask = rng.random((B, T)) < 0.6
+    if counted == 1:
+        mask[:] = False
+    mask[-1, -1] = True
+    loss, grad = softmax_nll_loss(logits, targets, mask)
+    want_loss, want_grad = onehot_softmax_nll(logits, targets, mask)
+    assert np.array_equal(_bits(loss), _bits(want_loss))
+    assert np.array_equal(_bits(grad), _bits(want_grad))
+    only = softmax_nll_loss(logits, targets, mask, want_grad=False)
+    assert np.array_equal(_bits(only), _bits(want_loss))
+
+
+def test_softmax_nll_on_a_strided_view_matches_onehot_reference_bit_for_bit():
+    # logits with the class axis contiguous, more than 8 classes: the class
+    # sum reduces in that layout, as the oracle's does, and the gradient is
+    # still written at every target
+    rng = np.random.default_rng(31)
+    B, C, T = 3, 12, 20
+    logits = (rng.standard_normal((B, T, C)) * 3.0).transpose(0, 2, 1)
+    targets = rng.integers(0, C, size=(B, T))
+    mask = rng.random((B, T)) < 0.7
+    mask[0, 0] = True
+    loss, grad = softmax_nll_loss(logits, targets, mask)
+    want_loss, want_grad = onehot_softmax_nll(logits, targets, mask)
+    assert np.array_equal(_bits(loss), _bits(want_loss))
+    assert np.array_equal(_bits(grad), _bits(want_grad))
+    assert np.array_equal(_bits(softmax_nll_loss(logits, targets, mask, want_grad=False)),
+                          _bits(want_loss))
 
 
 def test_mse_loss_matches_written_form_bit_for_bit():
