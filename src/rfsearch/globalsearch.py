@@ -206,29 +206,34 @@ class _Logs:
         self._traj.writerow(["budget", "running_best_fitness", "seed", "method"])
         self.seed = seed
         self._best_key = None
-        self._genome_strings: dict[tuple[int, ...], str] = {}
+        # genome strings of the survivors, the genomes a clone repeats
+        self._survivor_strings: dict[tuple[int, ...], str] = {}
 
-    def _genome_string(self, genome):
-        """format_genome_string, once per distinct genome."""
-        text = self._genome_strings.get(genome.dilations)
-        if text is None:
-            text = self._genome_strings[genome.dilations] = format_genome_string(genome)
-        return text
+    def log_records(self, generation, records, survivors):
+        """Append ``records``; ``survivors`` is the population after them.
 
-    def log_records(self, generation, records):
-        self._pop.writerows(
-            [
+        A genome string is formatted once while its genome survives, so
+        memory stays bounded by the population however many genomes the
+        search creates."""
+        strings = self._survivor_strings
+        rows = []
+        for r in records:
+            text = strings.get(r.genome.dilations)
+            if text is None:
+                text = strings[r.genome.dilations] = format_genome_string(r.genome)
+            rows.append([
                 generation,
                 r.candidate_id,
-                self._genome_string(r.genome),
+                text,
                 repr(r.fitness),
                 r.epochs_trained,
                 r.seed,
                 f"{r.wall_time_s:.6f}",
-            ]
-            for r in records
-        )
+            ])
+        self._pop.writerows(rows)
         self._pop_file.flush()
+        self._survivor_strings = {r.genome.dilations: strings[r.genome.dilations]
+                                  for r in survivors}
 
     def log_checkpoint(self, budget, best_fitness):
         self._traj.writerow([budget, repr(best_fitness), self.seed, "ga"])
@@ -331,19 +336,19 @@ def run_global_search(
         ranked = ranked + [(_survivor_key(r), r) for r in records]
         return sorted(ranked, key=itemgetter(0))[:M]
 
-    def checkpoint(generation, records, best):
-        trajectory.append((M * (generation + 1), best.fitness))
+    def checkpoint(generation, records, members):
+        trajectory.append((M * (generation + 1), members[0].fitness))
         if logs:
-            logs.log_records(generation, records)
+            logs.log_records(generation, records, members)
             logs.log_checkpoint(*trajectory[-1])
-            logs.log_best(best)
+            logs.log_best(members[0])
 
     try:
         ranked = survivors([], eval_batch(
             [random_genome(cfg.space, cfg.genome_length, rng_init) for _ in range(M)]
         ))
         members = [r for _, r in ranked]
-        checkpoint(0, members, members[0])
+        checkpoint(0, members, members)
 
         for generation in range(1, cfg.iterations + 1):
             probs = selection_probabilities([r.fitness for r in members])
@@ -365,7 +370,7 @@ def run_global_search(
             new_records = eval_batch(offspring)
             ranked = survivors(ranked, new_records)
             members = [r for _, r in ranked]
-            checkpoint(generation, new_records, members[0])
+            checkpoint(generation, new_records, members)
     finally:
         if pool_executor is not None:
             pool_executor.shutdown()

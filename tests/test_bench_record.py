@@ -1,0 +1,117 @@
+"""tools/bench_record.py on synthetic perfbench result records."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("bench_record", ROOT / "tools" / "bench_record.py")
+bench_record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_record)
+
+BENCHMARK = {
+    "end_to_end": [
+        {"name": "search_ref", "unit": "ref", "better": "lower", "bound": 0.25},
+        {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
+    ],
+    "per_layer": [{"name": "kernels.conv1d_forward.calls", "unit": "count", "better": "lower"}],
+}
+
+
+def _record(workload, seed, search_ref, rss=41.0, commit="aaa", trace=0, threads="1"):
+    values = {"search_ref": search_ref, "peak_rss_mb": rss, "search_s": 2 * search_ref,
+              "wall_s": 3 * search_ref, "reference_s": 1.0 + seed / 1000}
+    return {
+        "provenance": {
+            "workload": workload, "seed": seed, "trace": trace, "git_commit": commit,
+            "source_id": commit[::-1], "kernel_backend": "numpy",
+            "threads": {"OPENBLAS_NUM_THREADS": threads}, "numpy": "2.4.6",
+            "blas": {"name": "openblas"}, "python": "3.11.7", "nproc": 2,
+        },
+        "correct": True, "attempted": 3, "failed": 0,
+        "values": {k: {"value": v, "unit": "?"} for k, v in values.items()},
+    }
+
+
+def _sides(parent_refs, change_refs, workload="ga_lagged_copy"):
+    parent = [(f"p{s}", _record(workload, s, v)) for s, v in parent_refs.items()]
+    change = [(f"c{s}", _record(workload, s, v, commit="bbb")) for s, v in change_refs.items()]
+    return parent, change
+
+
+def test_quartiles_median_and_pair_wins():
+    parent, change = _sides({1: 1.0, 2: 2.0, 3: 3.0, 4: 4.0, 5: 5.0},
+                            {1: 0.5, 2: 2.5, 3: 2.0, 4: 4.0, 5: 1.0})
+    doc = bench_record.fold(parent, change, BENCHMARK)
+    entry = doc["workloads"]["ga_lagged_copy"]
+    assert entry["seeds"] == [1, 2, 3, 4, 5]
+    assert entry["attempted"] == {"parent": 15, "change": 15}
+    assert entry["failed"] == {"parent": 0, "change": 0}
+    ref = entry["metrics"]["search_ref"]
+    assert ref["parent"]["median"] == 3.0
+    assert (ref["parent"]["q1"], ref["parent"]["q3"]) == (2.0, 4.0)
+    assert ref["change"]["median"] == 2.0
+    assert ref["change"]["runs"] == [0.5, 2.5, 2.0, 4.0, 1.0]
+    assert ref["pair_wins"] == {"change": 3, "parent": 1, "tie": 1}
+    assert ref["gated"] and not entry["metrics"]["wall_s"]["gated"]
+    # every gated metric and the raw seconds are kept
+    assert set(entry["metrics"]) == {"search_ref", "peak_rss_mb", "search_s", "wall_s",
+                                     "reference_s"}
+    assert entry["metrics"]["reference_s"]["pair_wins"]["tie"] == 5
+    prov = doc["provenance"]
+    assert prov["parent"]["git_commit"] == "aaa" and prov["change"]["git_commit"] == "bbb"
+    assert prov["threads"] == {"OPENBLAS_NUM_THREADS": "1"} and prov["trace"] == 0
+
+
+def test_higher_is_better_metrics_count_wins_the_other_way():
+    bench = {"end_to_end": [{"name": "search_ref", "unit": "ref", "better": "higher"}]}
+    parent, change = _sides({1: 1.0, 2: 1.0}, {1: 2.0, 2: 0.5})
+    wins = bench_record.fold(parent, change, bench)["workloads"]["ga_lagged_copy"]
+    assert wins["metrics"]["search_ref"]["pair_wins"] == {"change": 1, "parent": 1, "tie": 0}
+
+
+def test_workloads_are_summarized_apart():
+    p1, c1 = _sides({1: 1.0}, {1: 0.9})
+    p2, c2 = _sides({1: 5.0}, {1: 6.0}, workload="surrogate_ga")
+    doc = bench_record.fold(p1 + p2, c1 + c2, BENCHMARK)
+    assert sorted(doc["workloads"]) == ["ga_lagged_copy", "surrogate_ga"]
+    assert doc["workloads"]["surrogate_ga"]["metrics"]["search_ref"]["change"]["median"] == 6.0
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (lambda r: r["provenance"].update(trace=1), "differ in trace"),
+    (lambda r: r["provenance"].update(threads={"OPENBLAS_NUM_THREADS": "2"}),
+     "differ in threads"),
+    (lambda r: r["provenance"].update(numpy="1.26.0"), "differ in numpy"),
+    (lambda r: r["provenance"].update(workload="surrogate_ga"), "has no (parent|change) record"),
+    (lambda r: r["provenance"].update(seed=1), "two change records"),
+    (lambda r: r["provenance"].update(git_commit="ccc"), "2 code versions"),
+    (lambda r: r["values"].pop("peak_rss_mb"), "no value of peak_rss_mb"),
+])
+def test_refuses_records_it_cannot_compare(spoil, message):
+    parent, change = _sides({1: 1.0, 2: 2.0}, {1: 1.0, 2: 2.0})
+    spoil(change[1][1])
+    with pytest.raises(ValueError, match=message):
+        bench_record.fold(parent, change, BENCHMARK)
+
+
+def test_command_line_reads_directories_and_exits_2_on_refusal(tmp_path, capsys):
+    parent, change = _sides({1: 1.0, 2: 2.0}, {1: 0.5, 2: 1.5})
+    bench = tmp_path / "BENCHMARK.json"
+    bench.write_text(json.dumps(BENCHMARK))
+    for side, records in (("parent", parent), ("change", change)):
+        (tmp_path / side).mkdir()
+        for name, rec in records:
+            (tmp_path / side / f"{name}.json").write_text(json.dumps(rec))
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+            "--out", str(out), "--benchmark", str(bench)]
+    assert bench_record.main(argv) == 0
+    doc = json.loads(out.read_text())
+    assert doc["workloads"]["ga_lagged_copy"]["metrics"]["search_ref"]["pair_wins"]["change"] == 2
+    # one change record named twice: a duplicate pair
+    extra = tmp_path / "change" / "c1.json"
+    assert bench_record.main(argv + ["--change", str(tmp_path / "change"), str(extra)]) == 2
+    assert "two change records" in capsys.readouterr().err

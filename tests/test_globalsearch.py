@@ -307,6 +307,27 @@ class TestRunGlobalSearch:
         assert best["dilations"] == list(members[0].genome.dilations)
         assert (best["fitness"], best["seed"]) == (members[0].fitness, members[0].seed)
 
+    def test_population_log_formats_a_surviving_genome_once(self, tmp_path, monkeypatch):
+        # a clone of a survivor reuses the survivor's genome string; every row
+        # still holds its own record's genome
+        formatted = []
+        fmt = globalsearch.format_genome_string
+
+        def spy(genome):
+            formatted.append(genome.dilations)
+            return fmt(genome)
+
+        monkeypatch.setattr(globalsearch, "format_genome_string", spy)
+        cfg = _config(SPACE_3, 5, iterations=12, p_m=0.8, p_s=0.3)
+        members, _ = run_global_search(cfg, SurrogateFitness((4, 1, 2, 2, 1)).as_trainer(), 2,
+                                       log_dir=tmp_path)
+        with open(tmp_path / "population_log.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(formatted) < len(rows)
+        assert {tuple(map(int, r["genome"].split(","))) for r in rows} == set(formatted)
+        by_id = {int(r["candidate_id"]): r["genome"] for r in rows}
+        assert all(by_id[m.candidate_id] == fmt(m.genome) for m in members)
+
     def test_best_json_is_replaced_only_when_the_best_changes(self, tmp_path, monkeypatch):
         offered, replaced = [], []
         log_best = globalsearch._Logs.log_best
