@@ -2,13 +2,22 @@
 
 Each kernel loops over the taps in Python and does the channel contraction
 of one tap with one ``np.matmul`` (BLAS) on the in-range time slice, in the
-native (batch, channel, time) layout.  With one channel on the contracted
-side the contraction is an outer product, and a broadcast multiply gives the
-same bits without the BLAS call.  Forward and input gradient add each tap's
-product into the output on contiguous memory only (``_ShiftedSum``), in the
-same order and with the same bits as a strided ``+=`` into a bias- or
+native (batch, channel, time) layout.  Forward and input gradient add each
+tap's product into the output on contiguous memory only (``_ShiftedSum``),
+in the same order and with the same bits as a strided ``+=`` into a bias- or
 zero-filled output; their keyword-only ``out=`` adds the result into the
 caller's array instead.
+
+With one channel on the contracted side (forward with ``Cin = 1``, input
+gradient with ``Cout = 1``) a tap's product is an outer product, too thin for
+BLAS.  There the kernel stacks that channel once per tap, shifted by the
+tap's offset and zero outside the tap's range, into one (B, K, T) array; the
+forward appends a row of ones that carries the bias.  One ``np.matmul`` of
+the (C, K[+1]) matrix ``[w_0 ... w_{K-1} (b)]`` with that stack contracts
+every tap (``_stacked_taps``), and ``out=`` adds it in one flat add.  BLAS
+sums the products and the bias in its own order, starting from +0.0, so a
+frame that no tap reaches holds ``b + (+0.0)``: a -0.0 bias reads +0.0
+there, and such a result is never -0.0.
 
 The strided per-tap weight ``w[:, :, j]`` makes numpy copy it for every
 batch item, so forward and input gradient contract on one contiguous tap
@@ -35,6 +44,11 @@ __all__ = [
 ]
 
 
+def _check_out(out, shape):
+    if out is not None and out.shape != shape:
+        raise ValueError(f"out has shape {out.shape}, expected {shape}")
+
+
 class _ShiftedSum:
     """A base plus tap products, each placed at its output range [lo, hi)
     and summed in tap order, on contiguous memory: no strided add.
@@ -46,10 +60,9 @@ class _ShiftedSum:
     for x = -0.0 too).  With ``out``, the base and every product are added
     into the caller's array."""
 
-    def __init__(self, shape, contract, base, out):
-        if out is not None and out.shape != shape:
-            raise ValueError(f"out has shape {out.shape}, expected {shape}")
-        self.shape, self.contract, self.base = shape, contract, base
+    def __init__(self, shape, base, out):
+        _check_out(out, shape)
+        self.shape, self.base = shape, base
         # a new array's frames outside its first product, before the base
         self.fill = 0.0 if base is None else -0.0
         self.acc = self.scratch = None
@@ -62,7 +75,7 @@ class _ShiftedSum:
         self.acc = acc
 
     def _place(self, dest, mat, src, lo, hi, fill):
-        self.contract(mat, src, out=dest[:, :, lo:hi])
+        np.matmul(mat, src, out=dest[:, :, lo:hi])
         dest[:, :, :lo] = fill
         dest[:, :, hi:] = fill
         return dest
@@ -71,7 +84,7 @@ class _ShiftedSum:
         if self.acc is None:
             self._start(self._place(np.empty(self.shape), mat, src, lo, hi, self.fill))
         elif hi - lo == self.shape[2]:
-            self.acc += self.contract(mat, src)
+            self.acc += mat @ src
         else:
             if self.scratch is None:
                 self.scratch = np.empty(self.shape)
@@ -81,6 +94,35 @@ class _ShiftedSum:
         if self.acc is None:  # every tap reads outside the input
             self._start(np.full(self.shape, self.fill))
         return self.acc
+
+
+def _stacked_taps(mat, v, shifts, ones, out):
+    """``mat @ stack`` for the one-channel ``v`` (B, 1, T): row j of the stack
+    holds ``v[..., t + shifts[j]]`` at frame t, zero out of range, and a last
+    row of ones follows when ``ones``.  With ``out``, the product is added
+    into ``out``, which is returned."""
+    B, _, T = v.shape
+    shape = (B, mat.shape[0], T)
+    _check_out(out, shape)
+    # the product's array is made before the stack: the other order leaves a
+    # hole in the heap that raised the peak RSS of a search
+    prod = np.empty(shape)
+    stack = np.empty((B, len(shifts) + ones, T))
+    for j, s in enumerate(shifts):
+        lo, hi = max(0, -s), min(T, T - s)
+        if lo < hi:
+            stack[:, j, lo:hi] = v[:, 0, lo + s : hi + s]
+            stack[:, j, :lo] = 0.0
+            stack[:, j, hi:] = 0.0
+        else:
+            stack[:, j] = 0.0
+    if ones:
+        stack[:, -1] = 1.0
+    np.matmul(mat, stack, out=prod)
+    if out is None:
+        return prod
+    out += prod
+    return out
 
 
 def _taps(w, axes):
@@ -94,10 +136,12 @@ def conv1d_forward(x, w, b, offsets, *, out=None):
     """conv(x, w) + b; with ``out``, added into ``out``, which is returned."""
     B, Cin, T = x.shape
     Cout, _, K = w.shape
-    contract = np.multiply if Cin == 1 else np.matmul
+    if Cin == 1:
+        mat = np.concatenate((w[:, 0, :], b[:, None]), axis=1)
+        return _stacked_taps(mat, x, [int(o) for o in offsets], True, out)
     # b as a (Cout, T) plane: its add runs over B contiguous rows of Cout·T
     plane = np.repeat(b, T).reshape(Cout, T)
-    acc = _ShiftedSum((B, Cout, T), contract, plane, out)
+    acc = _ShiftedSum((B, Cout, T), plane, out)
     taps = _taps(w, (2, 0, 1))
     for j in range(K):
         off = int(offsets[j])
@@ -115,10 +159,11 @@ def conv1d_grad_input(grad_out, w, offsets, *, out=None):
     B, Cout, T = grad_out.shape
     Cin = w.shape[1]
     K = offsets.shape[0]
-    contract = np.multiply if Cout == 1 else np.matmul
-    # A zero-filled sum starts 0.0 + p.  matmul sums from +0.0, so its p is
-    # never -0.0 and needs no base; a one-channel multiply can give -0.0.
-    acc = _ShiftedSum((B, Cin, T), contract, 0.0 if Cout == 1 else None, out)
+    if Cout == 1:
+        mat = np.ascontiguousarray(w[0])
+        return _stacked_taps(mat, grad_out, [-int(o) for o in offsets], False, out)
+    # matmul sums from +0.0, so a product is never -0.0 and needs no base
+    acc = _ShiftedSum((B, Cin, T), None, out)
     taps = _taps(w, (2, 1, 0))
     for j in range(K):
         off = int(offsets[j])

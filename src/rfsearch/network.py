@@ -226,7 +226,9 @@ class DilatedNet:
             g_z = relu_backward(a, g, out=None if lspec.residual else g)
             gx, gw, gb, gc = multi_dilated_backward(tape, g_z)
             layer_grads.append((gw, gb, gc))
-            g = gx + g if lspec.residual else gx
+            if lspec.residual:  # gx is fresh too: the skip sum goes into it
+                gx += g
+            g = gx
         layer_grads.reverse()
         grads = []
         for gw, gb, _ in layer_grads:

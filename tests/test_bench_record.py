@@ -23,6 +23,8 @@ BENCHMARK = {
 def _record(workload, seed, search_ref, rss=41.0, commit="aaa", trace=0, threads="1"):
     values = {"search_ref": search_ref, "peak_rss_mb": rss, "search_s": 2 * search_ref,
               "wall_s": 3 * search_ref, "reference_s": 1.0 + seed / 1000}
+    if trace:  # a traced run reports the per-layer metrics instead
+        values = {"kernels.conv1d_forward.calls": 100 * seed}
     return {
         "provenance": {
             "workload": workload, "seed": seed, "trace": trace, "git_commit": commit,
@@ -35,9 +37,10 @@ def _record(workload, seed, search_ref, rss=41.0, commit="aaa", trace=0, threads
     }
 
 
-def _sides(parent_refs, change_refs, workload="ga_lagged_copy"):
-    parent = [(f"p{s}", _record(workload, s, v)) for s, v in parent_refs.items()]
-    change = [(f"c{s}", _record(workload, s, v, commit="bbb")) for s, v in change_refs.items()]
+def _sides(parent_refs, change_refs, workload="ga_lagged_copy", trace=0):
+    parent = [(f"p{s}", _record(workload, s, v, trace=trace)) for s, v in parent_refs.items()]
+    change = [(f"c{s}", _record(workload, s, v, commit="bbb", trace=trace))
+              for s, v in change_refs.items()]
     return parent, change
 
 
@@ -62,7 +65,8 @@ def test_quartiles_median_and_pair_wins():
     assert entry["metrics"]["reference_s"]["pair_wins"]["tie"] == 5
     prov = doc["provenance"]
     assert prov["parent"]["git_commit"] == "aaa" and prov["change"]["git_commit"] == "bbb"
-    assert prov["threads"] == {"OPENBLAS_NUM_THREADS": "1"} and prov["trace"] == 0
+    assert prov["threads"] == {"OPENBLAS_NUM_THREADS": "1"}
+    assert "traced" not in doc and "tier1" not in doc
 
 
 def test_higher_is_better_metrics_count_wins_the_other_way():
@@ -80,8 +84,37 @@ def test_workloads_are_summarized_apart():
     assert doc["workloads"]["surrogate_ga"]["metrics"]["search_ref"]["change"]["median"] == 6.0
 
 
+def test_traced_records_fold_into_their_own_section():
+    parent, change = _sides({1: 1.0, 2: 2.0}, {1: 0.5, 2: 1.5})
+    t_parent, t_change = _sides({1: 0.0}, {1: 0.0}, trace=1)
+    t_change[0][1]["values"]["kernels.conv1d_forward.calls"]["value"] = 90
+    doc = bench_record.fold(parent + t_parent, t_change + change, BENCHMARK)
+    assert set(doc["workloads"]["ga_lagged_copy"]["metrics"]) == {
+        "search_ref", "peak_rss_mb", "search_s", "wall_s", "reference_s"}
+    traced = doc["traced"]["ga_lagged_copy"]
+    assert traced["seeds"] == [1]
+    calls = traced["metrics"]["kernels.conv1d_forward.calls"]
+    assert (calls["parent"]["median"], calls["change"]["median"]) == (100, 90)
+    assert calls["pair_wins"] == {"change": 1, "parent": 0, "tie": 0}
+    # traced records alone make a record with no untraced section
+    only = bench_record.fold(t_parent, t_change, BENCHMARK)
+    assert "workloads" not in only and only["traced"] == doc["traced"]
+
+
+def test_reads_pytest_summary_lines():
+    log = "tests/test_a.py ....\n===== 528 passed, 5 warnings in 86.12s (0:01:26) =====\n"
+    assert bench_record.read_tier1(log) == {
+        "passed": 528, "failed": 0, "skipped": 0, "errors": 0, "wall_s": 86.12}
+    quiet = "....F\n2 failed, 526 passed, 1 skipped, 1 error in 90.5s\n"
+    assert bench_record.read_tier1(quiet) == {
+        "passed": 526, "failed": 2, "skipped": 1, "errors": 1, "wall_s": 90.5}
+    with pytest.raises(ValueError, match="no pytest summary"):
+        bench_record.read_tier1("collected 528 items\n")
+
+
 @pytest.mark.parametrize("spoil, message", [
-    (lambda r: r["provenance"].update(trace=1), "differ in trace"),
+    (lambda r: r["provenance"].update(trace=1), "has no (parent|change) record"),
+    (lambda r: r["provenance"].update(trace=2), "unknown trace mode"),
     (lambda r: r["provenance"].update(threads={"OPENBLAS_NUM_THREADS": "2"}),
      "differ in threads"),
     (lambda r: r["provenance"].update(numpy="1.26.0"), "differ in numpy"),
@@ -115,3 +148,16 @@ def test_command_line_reads_directories_and_exits_2_on_refusal(tmp_path, capsys)
     extra = tmp_path / "change" / "c1.json"
     assert bench_record.main(argv + ["--change", str(tmp_path / "change"), str(extra)]) == 2
     assert "two change records" in capsys.readouterr().err
+    # pytest logs of both sides give the tier-1 section
+    for side, passed in (("parent", 528), ("change", 530)):
+        (tmp_path / f"{side}.log").write_text(f"{passed} passed in 80.0s\n")
+    tier1 = ["--parent-tier1", str(tmp_path / "parent.log"),
+             "--change-tier1", str(tmp_path / "change.log")]
+    assert bench_record.main(argv + tier1) == 0
+    doc = json.loads(out.read_text())
+    assert doc["tier1"]["change"]["passed"] == 530 and doc["tier1"]["parent"]["wall_s"] == 80.0
+    assert bench_record.main(argv + tier1[:2]) == 2
+    assert "together" in capsys.readouterr().err
+    (tmp_path / "change.log").write_text("interrupted\n")
+    assert bench_record.main(argv + tier1) == 2
+    assert "no pytest summary" in capsys.readouterr().err

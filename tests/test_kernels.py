@@ -62,16 +62,18 @@ def test_backends_agree_on_gradients(rng, B, Cin, Cout, T, K, d, mode):
     np.testing.assert_allclose(np.vdot(gw, w), pairing, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("Cin,Cout", [(3, 4), (1, 4), (3, 1)])
 @pytest.mark.parametrize("mode", ["causal", "centered"])
-def test_kernels_take_views_and_return_fresh_arrays(rng, mode):
-    # Non-contiguous views in (strided channels, reversed time); every
-    # result is a new float64 array that shares no memory with an input,
-    # since multi_dilated_backward accumulates into it in place.
-    B, Cin, Cout, T, K, d = 2, 3, 4, 15, 3, 2
+def test_kernels_take_views_and_return_fresh_arrays(rng, mode, Cin, Cout):
+    # Non-contiguous views in (strided channels, reversed time or taps);
+    # every result is a new float64 array that shares no memory with an
+    # input, since multi_dilated_backward accumulates into it in place.
+    # Cin = 1 and Cout = 1 take the one-channel (stacked-tap) path.
+    B, T, K, d = 2, 15, 3, 2
     x = rng.standard_normal((B, 2 * Cin, T))[:, ::2, ::-1]
-    w = rng.standard_normal((Cin, Cout, K)).transpose(1, 0, 2)
+    w = rng.standard_normal((Cin, Cout, K)).transpose(1, 0, 2)[:, :, ::-1]
     b = rng.standard_normal(2 * Cout)[::2]
-    go = rng.standard_normal((B, T, Cout)).transpose(0, 2, 1)
+    go = rng.standard_normal((B, T, Cout)).transpose(0, 2, 1)[:, :, ::-1]
     offsets = tap_offsets(K, d, mode)
     assert not (x.flags.c_contiguous or w.flags.c_contiguous or go.flags.c_contiguous)
     xc, wc, bc, goc = (np.ascontiguousarray(a) for a in (x, w, b, go))
@@ -91,21 +93,56 @@ def test_kernels_take_views_and_return_fresh_arrays(rng, mode):
         np.testing.assert_allclose(got, contiguous, rtol=1e-12, atol=1e-12)
 
 
-def _strided_reference(x, w, b, go, offsets, one_channel=np.matmul):
-    """Forward and input gradient as the kernels once computed them: a
-    sliced matmul per tap (``one_channel`` where the contracted side has one
-    channel), added with a strided += into a bias- or zero-filled output."""
+def _strided_reference(x, w, b, go, offsets):
+    """Forward and input gradient as the kernels compute them with more than
+    one channel on the contracted side: a sliced matmul per tap, added with
+    a strided += into a bias- or zero-filled output."""
     (B, Cin, T), Cout = x.shape, w.shape[0]
-    forward = one_channel if Cin == 1 else np.matmul
-    backward = one_channel if Cout == 1 else np.matmul
     out = np.empty((B, Cout, T))
     out[:] = b[None, :, None]
     gx = np.zeros((B, Cin, T))
     for j, off in enumerate(int(o) for o in offsets):
         lo, hi = max(0, -off), min(T, T - off)
         if lo < hi:
-            out[:, :, lo:hi] += forward(w[:, :, j], x[:, :, lo + off : hi + off])
-            gx[:, :, lo + off : hi + off] += backward(w[:, :, j].T, go[:, :, lo:hi])
+            out[:, :, lo:hi] += w[:, :, j] @ x[:, :, lo + off : hi + off]
+            gx[:, :, lo + off : hi + off] += w[:, :, j].T @ go[:, :, lo:hi]
+    return out, gx
+
+
+def _shifted_rows(v, shifts, ones):
+    """The stack of the one-channel v (B, 1, T), from the shift definition:
+    row j holds v[:, 0, t + shifts[j]] at frame t, or 0 where t + shifts[j]
+    is outside [0, T); a last row of ones follows when ``ones``."""
+    B, _, T = v.shape
+    pad = T + max(abs(int(s)) for s in shifts)
+    padded = np.zeros((B, pad + T + pad))
+    padded[:, pad : pad + T] = v[:, 0]
+    rows = [padded[:, pad + int(s) : pad + int(s) + T] for s in shifts]
+    if ones:
+        rows.append(np.ones((B, T)))
+    return np.stack(rows, axis=1)
+
+
+def _stacked_forward(x, w, b, offsets):
+    """Forward with Cin = 1 as one matmul of the documented matrix
+    [w_0 ... w_{K-1} b] with the tap stack and its ones row."""
+    return np.hstack([w[:, 0, :], b[:, None]]) @ _shifted_rows(x, offsets, ones=True)
+
+
+def _stacked_grad_input(go, w, offsets):
+    """Input gradient with Cout = 1 as one matmul of [w_0 ... w_{K-1}] with
+    the stack of grad_out, each row shifted back by its tap's offset."""
+    return np.ascontiguousarray(w[0]) @ _shifted_rows(go, -offsets, ones=False)
+
+
+def _reference(x, w, b, go, offsets):
+    """The bits each kernel must give: a one-channel contraction as one
+    matmul over the stacked taps, any other as the strided form."""
+    out, gx = _strided_reference(x, w, b, go, offsets)
+    if x.shape[1] == 1:
+        out = _stacked_forward(x, w, b, offsets)
+    if w.shape[0] == 1:
+        gx = _stacked_grad_input(go, w, offsets)
     return out, gx
 
 
@@ -113,18 +150,57 @@ def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-@pytest.mark.parametrize(
-    "B,Cin,Cout,T,K,d,mode", [c for c in CASES if c[1] == 1 or c[2] == 1]
-)
-def test_one_channel_contraction_matches_matmul_bit_for_bit(rng, B, Cin, Cout, T, K, d, mode):
-    # With Cin = 1 (forward) or Cout = 1 (grad_input) the kernels multiply
-    # instead of calling matmul; each tap's matmul is then an outer product.
-    x, w, b = _random_case(rng, B, Cin, Cout, T, K)
-    go = rng.standard_normal((B, Cout, T))
-    offsets = tap_offsets(K, d, mode)
-    out, gx = _strided_reference(x, w, b, go, offsets)
-    assert _same_bits(_kernels.conv1d_forward(x, w, b, offsets), out)
-    assert _same_bits(_kernels.conv1d_grad_input(go, w, offsets), gx)
+@pytest.mark.parametrize("C", [1, 4])
+@pytest.mark.parametrize("d", [1, 5])
+@pytest.mark.parametrize("mode", ["causal", "centered"])
+@pytest.mark.parametrize("K", [1, 2, 3, 5])
+@pytest.mark.parametrize("B", [1, 3])
+def test_one_channel_contraction_is_one_matmul_over_the_stacked_taps(rng, B, K, mode, d, C):
+    # Forward with Cin = 1 and input gradient with Cout = 1 (C channels on
+    # the other side): at T = 10, d = 5 gives taps with |offset| >= T, which
+    # read nothing, and a last tap at offset T + 2 reads nothing either.
+    # Centered offsets follow tap_offsets' rule, for even K too.
+    T = 10
+    shift = np.arange(K) - (K - 1 if mode == "causal" else (K - 1) // 2)
+    offsets = np.append(shift * d, T + 2)
+    x, w, b = _random_case(rng, B, 1, C, T, K + 1)
+    go = rng.standard_normal((B, 1, T))
+    wg = rng.standard_normal((1, C, K + 1))
+    out = _stacked_forward(x, w, b, offsets)
+    gx = _stacked_grad_input(go, wg, offsets)
+    calls = [
+        (_kernels.conv1d_forward, (x, w, b), out),
+        (_kernels.conv1d_grad_input, (go, wg), gx),
+    ]
+    for kernel, (first, *rest), expected in calls:
+        got = kernel(first, *rest, offsets)
+        assert _same_bits(got, expected), kernel.__name__
+        items = [kernel(first[i : i + 1], *rest, offsets) for i in range(B)]
+        assert _same_bits(np.concatenate(items), got), kernel.__name__
+        acc = rng.standard_normal(got.shape)
+        assert _same_bits(kernel(first, *rest, offsets, out=acc.copy()), acc + got)
+    tol = dict(rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(out, naive_offset_conv1d(x, w, b, offsets), **tol)
+    expected_gx, _ = naive_offset_conv1d_grads(go, rng.standard_normal((B, C, T)), wg, offsets)
+    np.testing.assert_allclose(gx, expected_gx, **tol)
+
+
+@pytest.mark.parametrize("C", [1, 4])
+def test_one_channel_contraction_never_gives_minus_zero(rng, C):
+    # BLAS sums from +0.0, so a frame that no tap reaches holds b + (+0.0)
+    # and a -0.0 bias reads +0.0 there; a frame whose products are all -0.0
+    # reads +0.0 too.
+    B, T = 2, 10
+    offsets = np.array([-3, -6, T])  # frames 0-2 unreached
+    x, w, b = _random_case(rng, B, 1, C, T, 3)
+    b[:] = -0.0
+    out = _kernels.conv1d_forward(x, w, b, offsets)
+    assert _same_bits(out[:, :, :3], np.zeros((B, C, 3)))
+    out = _kernels.conv1d_forward(x, w[:, :, :2], b, np.array([-T, T + 1]))
+    assert _same_bits(out, np.zeros((B, C, T)))
+    go = np.full((B, 1, T), -0.0)
+    gx = _kernels.conv1d_grad_input(go, np.abs(w[:, :, :1]).reshape(1, C, 1), np.array([0]))
+    assert _same_bits(gx, np.zeros((B, C, T)))
 
 
 @pytest.mark.parametrize("zeros", [False, True])
@@ -135,8 +211,8 @@ def test_contiguous_accumulation_matches_strided_adds_bit_for_bit(
     # The kernels add each tap's product on contiguous memory, through a
     # border of -0.0; the sum must keep the strided adds' order and bits,
     # signed zeros included (a -0.0 bias, zero weights, -0.0 gradients).
-    # A one-channel multiply gives 0.0 * -1.0 = -0.0 where matmul sums to
-    # +0.0, so the reference contracts as the kernels do.
+    # A one-channel contraction is one matmul over the stacked taps, and is
+    # checked against that instead.
     x, w, b = _random_case(rng, B, Cin, Cout, T, K)
     go = rng.standard_normal((B, Cout, T))
     if zeros:
@@ -144,7 +220,7 @@ def test_contiguous_accumulation_matches_strided_adds_bit_for_bit(
         w[:, :, 0] = 0.0
         go[:, :, ::3] = -0.0
     offsets = tap_offsets(K, d, mode)
-    out, gx = _strided_reference(x, w, b, go, offsets, one_channel=np.multiply)
+    out, gx = _reference(x, w, b, go, offsets)
     assert _same_bits(_kernels.conv1d_forward(x, w, b, offsets), out)
     assert _same_bits(_kernels.conv1d_grad_input(go, w, offsets), gx)
 
@@ -199,9 +275,9 @@ def test_kernels_match_naive_loops_on_arbitrary_offsets(case):
     np.testing.assert_allclose(gx, expected_gx, **tol)
     np.testing.assert_allclose(_kernels.conv1d_grad_weights(go, x, K, offsets), expected_gw, **tol)
     # frames no tap reaches, or reached only by a zero product, keep the
-    # strided form's signed zeros
-    strided_out, strided_gx = _strided_reference(x, w, b, go, offsets, one_channel=np.multiply)
-    assert _same_bits(out, strided_out) and _same_bits(gx, strided_gx)
+    # strided form's signed zeros (one channel: the stacked matmul's)
+    ref_out, ref_gx = _reference(x, w, b, go, offsets)
+    assert _same_bits(out, ref_out) and _same_bits(gx, ref_gx)
     acc = rng.standard_normal((B, Cout, T))
     expected += acc
     np.testing.assert_allclose(_kernels.conv1d_forward(x, w, b, offsets, out=acc), expected, **tol)
@@ -214,7 +290,8 @@ def test_contiguous_taps_keep_the_strided_bits_on_every_small_shape(rng, B, K, f
     # The kernels contract on a contiguous tap stack only where the product
     # is matrix by matrix; with one output row (Cout = 1 forward, Cin = 1
     # input gradient) or a one-frame slice they keep the strided view, whose
-    # bits numpy's vector path gives.  Offsets ±(T - frames) make those taps
+    # bits numpy's vector path gives.  Cin = 1 forward and Cout = 1 input
+    # gradient contract over the stacked taps instead (_reference).  Offsets ±(T - frames) make those taps
     # read a slice of exactly ``frames`` frames; at K = 3 a 0 offset adds a
     # tap over every frame.
     T = 66
@@ -223,6 +300,6 @@ def test_contiguous_taps_keep_the_strided_bits_on_every_small_shape(rng, B, K, f
         for Cout in range(1, 5):
             x, w, b = _random_case(rng, B, Cin, Cout, T, K)
             go = rng.standard_normal((B, Cout, T))
-            out, gx = _strided_reference(x, w, b, go, offsets, one_channel=np.multiply)
+            out, gx = _reference(x, w, b, go, offsets)
             assert _same_bits(_kernels.conv1d_forward(x, w, b, offsets), out), (Cin, Cout)
             assert _same_bits(_kernels.conv1d_grad_input(go, w, offsets), gx), (Cin, Cout)

@@ -1,32 +1,42 @@
 """Fold paired perfbench runs of a parent commit and a change into one record.
 
     python3 tools/bench_record.py --parent PARENT/.perfbench/results \\
-        --change CHANGE/.perfbench/results --out BENCH_<n>.json
+        --change CHANGE/.perfbench/results --out BENCH_<n>.json \\
+        [--parent-tier1 PARENT_PYTEST.log --change-tier1 CHANGE_PYTEST.log]
 
 Each path is a result record that ``perfbench/run.py`` wrote, or a directory
-of them.  A parent record and a change record of the same workload and seed
-form a pair; run the two sides of a pair back to back, and flip which goes
-first from pair to pair.
+of them.  A parent record and a change record of the same workload, seed and
+trace mode form a pair; run the two sides of a pair back to back, and flip
+which goes first from pair to pair.
 
-For each workload and side the output holds the median and quartiles of
-every metric ``BENCHMARK.json`` declares for the records' trace mode, and,
-with tracing off, of the raw ``search_s``, ``wall_s`` and ``reference_s``:
-the gated ``*_ref`` metrics divide by ``reference_s``, so the raw seconds show
+Records with tracing off (``--trace 0``) are summarized under ``workloads``,
+traced ones (``--trace 1``) under ``traced``.  For each workload and side a
+section holds the median and quartiles of every metric ``BENCHMARK.json``
+declares for its trace mode (``end_to_end`` or ``per_layer``), and, with
+tracing off, of the raw ``search_s``, ``wall_s`` and ``reference_s``: the
+gated ``*_ref`` metrics divide by ``reference_s``, so the raw seconds show
 which side moved.  It also counts, per metric, the pairs each side won, and
 keeps the provenance: each side's git commit, source digest and kernel
 backend, and the numpy and BLAS build, Python version, CPU count and thread
 variables that both sides share.
 
+``--parent-tier1`` and ``--change-tier1`` name the saved output of one
+pytest run of the test suite on each side; its summary line gives the
+``tier1`` section: the pass, failure, skip and error counts and the wall
+time pytest reports.
+
 The tool refuses (exit 2) records it cannot compare: a record without a pair,
-two records of one workload and seed on one side, two code versions on one
-side, and mixed trace modes, thread settings, numpy/BLAS builds, Python
-versions or CPU counts.
+two records of one workload, seed and trace mode on one side, two code
+versions on one side, an unknown trace mode, and mixed thread settings,
+numpy/BLAS builds, Python versions or CPU counts; and a pytest log without a
+summary line, or one side's log without the other's.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import sys
 from pathlib import Path
@@ -34,8 +44,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RAW_SECONDS = ("search_s", "wall_s", "reference_s")
 # provenance that every record must share, or the two sides are not comparable
-SHARED = ("trace", "threads", "numpy", "blas", "python", "nproc")
+SHARED = ("threads", "numpy", "blas", "python", "nproc")
 SIDES = ("parent", "change")
+# trace mode -> (output section, BENCHMARK.json metric list)
+SECTIONS = {0: ("workloads", "end_to_end"), 1: ("traced", "per_layer")}
+TIER1_COUNTS = ("passed", "failed", "skipped", "errors")
 
 
 def load_records(paths) -> list[tuple[str, dict]]:
@@ -80,12 +93,16 @@ def _side_provenance(side: str, named_records) -> dict:
 
 
 def _by_pair(side: str, named_records) -> dict:
+    """(trace, workload, seed) -> (name, record)."""
     pairs = {}
     for name, rec in named_records:
-        key = (rec["provenance"]["workload"], rec["provenance"]["seed"])
+        prov = rec["provenance"]
+        if prov.get("trace") not in SECTIONS:
+            raise ValueError(f"{name} has unknown trace mode {prov.get('trace')!r}")
+        key = (prov["trace"], prov["workload"], prov["seed"])
         if key in pairs:
-            raise ValueError(f"two {side} records of {key[0]} seed {key[1]}: "
-                             f"{pairs[key][0]} and {name}")
+            raise ValueError(f"two {side} records of {key[1]} seed {key[2]} "
+                             f"at trace {key[0]}: {pairs[key][0]} and {name}")
         pairs[key] = (name, rec)
     return pairs
 
@@ -97,25 +114,13 @@ def _metric_value(name: str, rec: dict, metric: str) -> float:
         raise ValueError(f"{name} has no value of {metric}") from None
 
 
-def fold(parent, change, benchmark: dict) -> dict:
-    """The record of paired runs: ``parent`` and ``change`` are lists of
-    (name, record); ``benchmark`` is the parsed ``BENCHMARK.json``."""
-    if not parent or not change:
-        raise ValueError("both sides need at least one record")
-    shared = _check_shared(parent + change)
-    sides = {"parent": _by_pair("parent", parent), "change": _by_pair("change", change)}
-    for side, other in (("parent", "change"), ("change", "parent")):
-        for workload, seed in sorted(sides[side].keys() - sides[other].keys()):
-            raise ValueError(f"{side} record of {workload} seed {seed} has no {other} record")
-    declared = benchmark["per_layer" if shared["trace"] else "end_to_end"]
-    metrics = [(d["name"], d["unit"], d["better"], True) for d in declared]
-    if not shared["trace"]:
-        metrics += [(name, "s", "lower", False) for name in RAW_SECONDS]
-
+def _summarize(sides: dict, trace: int, metrics) -> dict:
+    """Per workload: seeds, attempted/failed counts and each metric's
+    quartiles, runs and pair wins, over the pairs at one trace mode."""
     workloads = {}
-    for workload in sorted({w for w, _ in sides["parent"]}):
-        seeds = sorted(s for w, s in sides["parent"] if w == workload)
-        runs = {side: [sides[side][(workload, s)] for s in seeds] for side in SIDES}
+    for workload in sorted({w for t, w, _ in sides["parent"] if t == trace}):
+        seeds = sorted(s for t, w, s in sides["parent"] if (t, w) == (trace, workload))
+        runs = {side: [sides[side][(trace, workload, s)] for s in seeds] for side in SIDES}
         entry = {
             "seeds": seeds,
             "attempted": {side: sum(r["attempted"] for _, r in runs[side]) for side in SIDES},
@@ -138,15 +143,51 @@ def fold(parent, change, benchmark: dict) -> dict:
                 "pair_wins": wins,
             }
         workloads[workload] = entry
+    return workloads
 
-    return {
+
+def fold(parent, change, benchmark: dict, tier1: dict | None = None) -> dict:
+    """The record of paired runs: ``parent`` and ``change`` are lists of
+    (name, record); ``benchmark`` is the parsed ``BENCHMARK.json``;
+    ``tier1``, if given, maps each side to its ``read_tier1`` summary."""
+    if not parent or not change:
+        raise ValueError("both sides need at least one record")
+    shared = _check_shared(parent + change)
+    sides = {"parent": _by_pair("parent", parent), "change": _by_pair("change", change)}
+    for side, other in (("parent", "change"), ("change", "parent")):
+        for trace, workload, seed in sorted(sides[side].keys() - sides[other].keys()):
+            raise ValueError(f"{side} record of {workload} seed {seed} at trace {trace} "
+                             f"has no {other} record")
+    doc = {
         "provenance": {
             **shared,
             **{side: _side_provenance(side, runs) for side, runs in
                (("parent", parent), ("change", change))},
         },
-        "workloads": workloads,
     }
+    for trace in sorted({t for t, _, _ in sides["parent"]}):
+        section, declared = SECTIONS[trace]
+        metrics = [(d["name"], d["unit"], d["better"], True) for d in benchmark[declared]]
+        if not trace:
+            metrics += [(name, "s", "lower", False) for name in RAW_SECONDS]
+        doc[section] = _summarize(sides, trace, metrics)
+    if tier1 is not None:
+        doc["tier1"] = {side: tier1[side] for side in SIDES}
+    return doc
+
+
+def read_tier1(text: str) -> dict:
+    """The counts and wall time of pytest's last summary line in ``text``,
+    such as ``528 passed, 5 warnings in 86.12s (0:01:26)``."""
+    for line in reversed(text.splitlines()):
+        took = re.search(r" in (\d+(?:\.\d+)?)s\b", line)
+        counts = dict((word, int(n)) for n, word in
+                      re.findall(r"(\d+) (passed|failed|skipped|errors?)\b", line))
+        if took and counts:
+            summary = {key: counts.get(key, 0) for key in TIER1_COUNTS}
+            summary["errors"] += counts.get("error", 0)
+            return {**summary, "wall_s": float(took.group(1))}
+    raise ValueError("no pytest summary line (such as '528 passed in 86.12s')")
 
 
 def main(argv=None) -> int:
@@ -158,10 +199,24 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="the record to write")
     parser.add_argument("--benchmark", default=str(ROOT / "BENCHMARK.json"),
                         help="the benchmark declaration (default: the repository's)")
+    for side in SIDES:
+        parser.add_argument(f"--{side}-tier1",
+                            help=f"saved output of one pytest run of the {side}'s test suite")
     args = parser.parse_args(argv)
     try:
+        logs = {side: getattr(args, f"{side}_tier1") for side in SIDES}
+        tier1 = None
+        if any(logs.values()):
+            if not all(logs.values()):
+                raise ValueError("give --parent-tier1 and --change-tier1 together")
+            tier1 = {}
+            for side, log in logs.items():
+                try:
+                    tier1[side] = read_tier1(Path(log).read_text())
+                except ValueError as err:
+                    raise ValueError(f"{log}: {err}") from None
         doc = fold(load_records(args.parent), load_records(args.change),
-                   json.loads(Path(args.benchmark).read_text()))
+                   json.loads(Path(args.benchmark).read_text()), tier1)
     except ValueError as err:
         print(f"bench_record: {err}", file=sys.stderr)
         return 2
