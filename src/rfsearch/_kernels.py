@@ -17,7 +17,7 @@ the (C, K[+1]) matrix ``[w_0 ... w_{K-1} (b)]`` with that stack contracts
 every tap (``_stacked_taps``), and ``out=`` adds it in one flat add.  BLAS
 sums the products and the bias in its own order, starting from +0.0, so a
 frame that no tap reaches holds ``b + (+0.0)``: a -0.0 bias reads +0.0
-there, and such a result is never -0.0.
+there, and no one-channel result is -0.0.
 
 The strided per-tap weight ``w[:, :, j]`` makes numpy copy it for every
 batch item, so forward and input gradient contract on one contiguous tap
