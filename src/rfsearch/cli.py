@@ -217,12 +217,8 @@ def _space(keys: _SpaceKeys, where: str, cap: int | None) -> SearchSpace:
 def _read_network(section: dict, task: TaskSpec | None) -> NetworkSpec:
     if task is None:
         raise ConfigError("a network section needs a task section")
-    network = _read(section, NetworkSpec, "network", in_channels=task.in_channels,
-                    num_classes=task.num_classes)
-    if network.head != "classifier":
-        raise ConfigError(f"network.head must be 'classifier' (every task has class "
-                          f"labels), got {network.head!r}")
-    return network
+    return _read(section, NetworkSpec, "network", in_channels=task.in_channels,
+                 num_classes=task.num_classes)
 
 
 def _read_global(section: dict, task, network, surrogate) -> GlobalConfig:

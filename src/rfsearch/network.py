@@ -1,7 +1,8 @@
 """Desk-scale dilated convolutional sequence networks and their trainer.
 
 A network is a stack of same-length dilated conv blocks (conv -> ReLU ->
-optional residual add) followed by a width-1 head.  Genomes bind to the
+optional residual add) followed by a width-1 conv head with one logit per
+class, trained on the softmax negative log-likelihood.  Genomes bind to the
 layers with kernel_size > 1, in order.  Every conv layer is a multi-dilated
 layer; a plain layer is its frozen one-branch case.  Any searched layer can
 temporarily or permanently run in branch mode (one shared kernel applied at
@@ -34,7 +35,6 @@ from .tensorops import (
     dilated_conv1d_backward,
     dilated_conv1d_forward,
     init_kernel,
-    mse_loss,
     relu,
     relu_backward,
     softmax_nll_loss,
@@ -64,12 +64,12 @@ class LayerSpec:
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Layer topology plus head type for the desk-scale network."""
+    """Layer topology plus class count (the softmax head's output channels)
+    for the desk-scale network."""
 
     in_channels: int
     layers: tuple[LayerSpec, ...]
     num_classes: int
-    head: str = "classifier"
     padding_mode: str = "causal"
 
     def __post_init__(self):
@@ -77,8 +77,6 @@ class NetworkSpec:
             raise ValueError("in_channels and num_classes must be >= 1")
         if len(self.layers) < 1:
             raise ValueError("network needs at least one layer")
-        if self.head not in ("classifier", "regressor"):
-            raise ValueError(f"unknown head {self.head!r}")
         if self.padding_mode not in ("causal", "centered"):
             raise ValueError(f"unknown padding_mode {self.padding_mode!r}")
         object.__setattr__(self, "layers", tuple(self.layers))
@@ -264,8 +262,8 @@ class Trainer:
 
     Calling the trainer evaluates one candidate genome: build the network
     with the genome's dilations from a fresh seeded init, train for the given
-    number of epochs, and return the validation fitness (framewise accuracy
-    for classifier heads, negative MSE for regressor heads).
+    number of epochs, and return the validation fitness: framewise accuracy
+    of the softmax head, trained on its negative log-likelihood.
     """
 
     def __init__(self, data: TaskData, net_spec: NetworkSpec, settings: TrainSettings,
@@ -307,11 +305,6 @@ class Trainer:
 
     # -- internals ------------------------------------------------------------
 
-    def _loss(self, output, targets, mask, want_grad: bool = True):
-        if self.net_spec.head == "classifier":
-            return softmax_nll_loss(output, targets, mask, want_grad)
-        return mse_loss(output, targets, mask, want_grad)
-
     def _train_net(self, net: DilatedNet, epochs: int, rng: np.random.Generator) -> float:
         data = self.data
         params = net.parameters()
@@ -326,7 +319,7 @@ class Trainer:
             for start in range(0, n, bs):
                 idx = order[start : start + bs]
                 out = net.forward(data.train_x[idx], train=True)
-                loss, grad = self._loss(out, data.train_y[idx], data.train_mask[idx])
+                loss, grad = softmax_nll_loss(out, data.train_y[idx], data.train_mask[idx])
                 if not np.isfinite(loss):
                     raise TrainingDiverged(f"non-finite training loss {loss}")
                 grads = net.backward(grad)
@@ -339,11 +332,9 @@ class Trainer:
     def _evaluate_net(self, net: DilatedNet):
         data = self.data
         out = net.forward(data.val_x)
-        loss = self._loss(out, data.val_y, data.val_mask, want_grad=False)
-        if self.net_spec.head == "classifier":
-            acc = framewise_accuracy(out, data.val_y, data.val_mask)
-            return acc, {"val_accuracy": acc, "val_loss": loss}
-        return -loss, {"val_loss": loss}
+        loss = softmax_nll_loss(out, data.val_y, data.val_mask, want_grad=False)
+        acc = framewise_accuracy(out, data.val_y, data.val_mask)
+        return acc, {"val_accuracy": acc, "val_loss": loss}
 
 
 class LocalSession:

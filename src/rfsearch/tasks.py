@@ -2,7 +2,9 @@
 
 Each task generates framewise-labeled sequences where the minimal causal
 receptive field needed to solve it is known in closed form, so search
-results can be checked against ground truth:
+results can be checked against ground truth.  Every task is framewise
+classification: an integer class label per frame, plus a mask of the frames
+that count.  The tasks:
 
 * lagged_copy: predict the input symbol from exactly ``lag`` frames back
   (i.i.d. symbols, so nothing short of the exact lag helps); minimal
@@ -10,8 +12,6 @@ results can be checked against ground truth:
 * multiscale_sum: classify the joint signs of running means over several
   window sizes at once; needs coverage of the largest window and rewards
   multi-scale taps.
-* noisy_event_span: detect whether an impulse occurred within the last
-  ``span`` frames, under additive noise; minimal receptive field ``span``.
 * permuted_pixels: optional sequence classification of IDX-format images
   flattened with a fixed pixel permutation (label on the last frame only).
 """
@@ -33,13 +33,12 @@ __all__ = [
     "generate",
     "gen_lagged_copy",
     "gen_multiscale_sum",
-    "gen_noisy_event_span",
     "gen_permuted_pixels",
     "framewise_accuracy",
     "load_idx",
 ]
 
-TASK_KINDS = ("lagged_copy", "multiscale_sum", "noisy_event_span", "permuted_pixels")
+TASK_KINDS = ("lagged_copy", "multiscale_sum", "permuted_pixels")
 
 
 @dataclass(frozen=True)
@@ -54,10 +53,6 @@ class TaskSpec:
     lag: int = 12
     # multiscale_sum
     windows: tuple[int, ...] = (4, 32)
-    # noisy_event_span
-    event_rate: float = 0.05
-    span: int = 16
-    noise_level: float = 0.5
     # permuted_pixels
     images_path: str | None = None
     labels_path: str | None = None
@@ -87,13 +82,6 @@ class TaskSpec:
                 raise ValueError("windows must be strictly increasing")
             if max(self.windows) > self.sequence_length:
                 raise ValueError("largest window exceeds sequence_length")
-        elif self.kind == "noisy_event_span":
-            if not (0.0 < self.event_rate < 1.0):
-                raise ValueError("event_rate must lie in (0, 1)")
-            if self.span < 1 or self.span > self.sequence_length:
-                raise ValueError("span must lie in [1, sequence_length]")
-            if self.noise_level < 0.0:
-                raise ValueError("noise_level must be >= 0")
         elif self.kind == "permuted_pixels":
             if self.images_path is None or self.labels_path is None:
                 raise ValueError("permuted_pixels needs images_path and labels_path")
@@ -108,8 +96,6 @@ class TaskSpec:
             return self.num_symbols
         if self.kind == "multiscale_sum":
             return 2 ** len(self.windows)
-        if self.kind == "noisy_event_span":
-            return 2
         return 10
 
     @property
@@ -119,8 +105,6 @@ class TaskSpec:
             return self.lag + 1
         if self.kind == "multiscale_sum":
             return max(self.windows)
-        if self.kind == "noisy_event_span":
-            return self.span
         return self.sequence_length
 
 
@@ -142,8 +126,6 @@ def generate(spec: TaskSpec) -> TaskData:
         return gen_lagged_copy(spec)
     if spec.kind == "multiscale_sum":
         return gen_multiscale_sum(spec)
-    if spec.kind == "noisy_event_span":
-        return gen_noisy_event_span(spec)
     return gen_permuted_pixels(spec)
 
 
@@ -198,29 +180,6 @@ def gen_multiscale_sum(spec: TaskSpec) -> TaskData:
         mask = np.zeros((n, T), dtype=bool)
         mask[:, max(spec.windows) - 1 :] = True
         return u, y, mask
-
-    return _splits(spec, make)
-
-
-def gen_noisy_event_span(spec: TaskSpec) -> TaskData:
-    """Sparse unit impulses plus Gaussian noise; label 1 while an impulse
-    lies within the trailing ``span`` frames."""
-    if spec.kind != "noisy_event_span":
-        raise ValueError("spec kind mismatch")
-
-    def make(rng, n):
-        T = spec.sequence_length
-        events = rng.random((n, T)) < spec.event_rate
-        x = events.astype(np.float64)[:, None, :]
-        x = x + spec.noise_level * rng.standard_normal((n, 1, T))
-        ec = np.concatenate(
-            [np.zeros((n, 1)), np.cumsum(events.astype(np.int64), axis=1)], axis=1
-        )
-        # events in frames max(0, t - span + 1) .. t
-        recent = ec[:, 1:] - ec[:, np.maximum(0, np.arange(T) - spec.span + 1)]
-        y = (recent > 0).astype(np.int64)
-        mask = np.ones((n, T), dtype=bool)
-        return x, y, mask
 
     return _splits(spec, make)
 

@@ -32,7 +32,6 @@ __all__ = [
     "relu",
     "relu_backward",
     "softmax_nll_loss",
-    "mse_loss",
     "keep_heap",
 ]
 
@@ -246,29 +245,6 @@ def softmax_nll_loss(logits: np.ndarray, targets: np.ndarray, mask=None,
     grad.reshape(-1)[flat] -= mask
     grad /= count
     return loss, grad
-
-
-def mse_loss(pred: np.ndarray, target: np.ndarray, mask=None, want_grad: bool = True):
-    """Mean squared error over unmasked frames (all channels of a frame count).
-
-    Returns (loss, grad_pred), or the loss alone when ``want_grad`` is False.
-    """
-    pred = _as_seq_batch(pred, "pred")
-    target = _as_seq_batch(target, "target")
-    if pred.shape != target.shape:
-        raise ValueError(f"pred shape {pred.shape} != target shape {target.shape}")
-    mask = _normalize_mask(mask, (pred.shape[0], pred.shape[2]))
-    count = int(mask.sum()) * pred.shape[1]
-    if count == 0:
-        raise ValueError("mask selects no frames")
-    diff = pred - target
-    diff *= mask[:, None, :]
-    loss = float((diff * diff).sum()) / count
-    if not want_grad:
-        return loss
-    diff *= 2.0
-    diff /= count
-    return loss, diff
 
 
 # --------------------------------------------------------------------------

@@ -58,7 +58,6 @@ def _task_config(tmp_path, out_name="run", **extra):
         "task": _TASK,
         "network": {
             "layers": [{"kernel_size": 2, "channels": 6}],
-            "head": "classifier",
         },
         "training": {"learning_rate": 0.02, "batch_size": 16, "final_epochs": 4},
     }
@@ -595,12 +594,20 @@ _INVALID_CONFIGS = [
     ),
     pytest.param("global", {"global": _GA, "network": {"layers": []}}, id="layers-empty"),
     pytest.param("global", {"global": _GA, "network": {"layers": [2]}}, id="layer-not-object"),
-    # every task has class labels, so the CLI trains classifiers only
+    # every task has class labels and every network a softmax head, so there
+    # is no head key and no fourth task kind
     pytest.param(
         "global",
         {"global": _GA, "network": {"layers": [{"kernel_size": 2}], "head": "regressor"}},
         id="head-regressor",
     ),
+    pytest.param(
+        "global",
+        {"global": _GA, "network": {"layers": [{"kernel_size": 2}], "head": "classifier"}},
+        id="head-key-unknown",
+    ),
+    pytest.param("global", {"global": _GA, "task": {**_TASK, "kind": "noisy_event_span"}},
+                 id="task-kind-noisy-event-span"),
     pytest.param("global", {"global": _GA, "master_seed": -1}, id="master-seed-negative"),
     pytest.param("global", {"global": _GA, "task": {**_TASK, "seed": -1}}, id="task-seed-negative"),
     pytest.param("global", {"global": _GA, "task": {**_TASK, "permutation_seed": -1}},

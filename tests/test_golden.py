@@ -6,8 +6,9 @@ structure.
 The pipeline's global stage writes accuracies only, which a small numeric
 change rarely moves, so a second record pins the repr of every loss and
 fitness of direct Trainer and LocalSession runs on fixed structures: a
-classifier on lagged_copy, and a regressor (mse_loss, one input and one
-output channel) on multiscale_sum's inputs.
+classifier on lagged_copy, and one on multiscale_sum whose input and middle
+layer have one channel, so both one-channel kernel cases run (a forward with
+Cin = 1, an input gradient with Cout = 1).
 
 Criterion 9 checks that reruns agree within one tree; these tests check that a
 refactor leaves every pinned output byte-identical to the tree the digests
@@ -34,7 +35,7 @@ from rfsearch.cli import main
 from rfsearch.genome import DilationGenome
 from rfsearch.localsearch import LocalConfig, ParallelLayer, ParallelStructure
 from rfsearch.network import LayerSpec, NetworkSpec, Trainer, TrainSettings
-from rfsearch.tasks import TaskData, TaskSpec, generate
+from rfsearch.tasks import TaskSpec, generate
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 SEEDS = (1, 2)
@@ -116,15 +117,13 @@ def _trainers() -> dict[str, Trainer]:
     copy = TaskSpec("lagged_copy", sequence_length=24, train_size=48, val_size=24,
                     lag=3, num_symbols=4, seed=5)
     classifier = Trainer(generate(copy), NetworkSpec(4, layers, 4), settings, seed=5)
-    # multiscale_sum's label code as a real-valued target: one input and one
-    # output channel, so both one-channel kernel cases and mse_loss run
+    # one input channel, and a one-channel 1x1 middle layer: layer 0's and
+    # layer 2's forwards have Cin = 1, layer 1's input gradient has Cout = 1
     ms = generate(TaskSpec("multiscale_sum", sequence_length=24, train_size=48,
                            val_size=24, windows=(2, 6), seed=6))
-    data = TaskData(ms.train_x, ms.train_y[:, None, :] * 0.5, ms.train_mask,
-                    ms.val_x, ms.val_y[:, None, :] * 0.5, ms.val_mask, 1, 1)
-    regressor = Trainer(data, NetworkSpec(1, layers, 1, head="regressor"), settings,
-                        seed=6)
-    return {"lagged_copy": classifier, "multiscale_sum": regressor}
+    narrow = (LayerSpec(2, 6), LayerSpec(1, 1), LayerSpec(2, 6))
+    one_channel = Trainer(ms, NetworkSpec(1, narrow, 4), settings, seed=6)
+    return {"lagged_copy": classifier, "multiscale_sum": one_channel}
 
 
 def trainer_losses() -> dict[str, str]:

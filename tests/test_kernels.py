@@ -21,8 +21,8 @@ CASES = [
     # (K-1)*d >= T: the first causal tap reads nothing and is skipped
     (2, 2, 3, 8, 3, 4, "causal"),
     (2, 3, 2, 6, 2, 7, "causal"),
-    # Cin = 1 (the multiscale_sum input layer) and Cout = 1 (the regressor
-    # head), where each tap's matmul is a vector product
+    # Cin = 1 (the multiscale_sum input layer) and Cout = 1 (the input
+    # gradient of a one-channel layer): the stacked-tap path
     (3, 1, 16, 30, 2, 5, "causal"),
     (3, 16, 1, 30, 2, 5, "causal"),
     (2, 1, 4, 21, 3, 2, "centered"),

@@ -255,24 +255,6 @@ class TestTrainer:
         assert m_long["val_loss"] < m_short["val_loss"]
         assert f_long > 0.9
 
-    def test_regressor_head(self):
-        rng = np.random.default_rng(6)
-        n, T = 16, 12
-        x = rng.standard_normal((n, 2, T))
-        y = x.sum(axis=1, keepdims=True) * 0.5  # linear target
-        mask = np.ones((n, T), dtype=bool)
-        data = TaskData(x, y, mask, x.copy(), y.copy(), mask.copy(), 1, 2)
-        spec = NetworkSpec(
-            in_channels=2,
-            layers=(LayerSpec(kernel_size=2, channels=4),),
-            num_classes=1,
-            head="regressor",
-        )
-        trainer = Trainer(data, spec, TrainSettings(learning_rate=0.02, batch_size=8), seed=0)
-        f0, _ = trainer(DilationGenome((1,)), epochs=1, seed=0)
-        f1, _ = trainer(DilationGenome((1,)), epochs=25, seed=0)
-        assert f1 > f0  # negative MSE improves
-
     def test_local_session_protocol(self):
         rng = np.random.default_rng(7)
         data = _tiny_data(rng)

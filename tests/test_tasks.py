@@ -167,24 +167,6 @@ class TestMultiscaleSum:
             TaskSpec(kind="multiscale_sum", sequence_length=16, windows=(4, 32))
 
 
-class TestNoisyEventSpan:
-    def test_labels_match_bruteforce(self):
-        spec = TaskSpec(
-            kind="noisy_event_span", sequence_length=30, train_size=5, val_size=3,
-            span=4, event_rate=0.2, noise_level=0.0, seed=4,
-        )
-        data = generate(spec)
-        events = data.train_x[:, 0, :] == 1.0  # noise-free: impulses are exact
-        for i in range(5):
-            for t in range(30):
-                lo = max(0, t - 3)
-                assert data.train_y[i, t] == int(events[i, lo : t + 1].any())
-
-    def test_min_receptive_field(self):
-        spec = TaskSpec(kind="noisy_event_span", span=9)
-        assert spec.min_receptive_field == 9
-
-
 class TestFramewiseAccuracy:
     def test_perfect_one_hot(self):
         target = np.array([[0, 1, 2]])

@@ -23,7 +23,6 @@ from rfsearch.tensorops import (
     dilated_conv1d_backward,
     dilated_conv1d_forward,
     init_kernel,
-    mse_loss,
     relu,
     relu_backward,
     softmax_nll_loss,
@@ -353,34 +352,6 @@ def test_softmax_nll_on_a_strided_view_matches_onehot_reference_bit_for_bit():
     assert np.array_equal(_bits(grad), _bits(want_grad))
     assert np.array_equal(_bits(softmax_nll_loss(logits, targets, mask, want_grad=False)),
                           _bits(want_loss))
-
-
-def test_mse_loss_matches_written_form_bit_for_bit():
-    rng = np.random.default_rng(14)
-    pred = rng.standard_normal((3, 2, 11))
-    target = rng.standard_normal((3, 2, 11))
-    mask = rng.random((3, 11)) < 0.7
-    mask[0, 0] = True
-    count = int(mask.sum()) * 2
-    diff = (pred - target) * mask[:, None, :]
-    loss, grad = mse_loss(pred, target, mask)
-    assert np.array_equal(_bits(loss), _bits(float((diff * diff).sum()) / count))
-    assert np.array_equal(_bits(grad), _bits(2.0 * diff / count))
-    assert np.array_equal(_bits(mse_loss(pred, target, mask, want_grad=False)), _bits(loss))
-
-
-def test_mse_loss_gradient_matches_finite_differences():
-    rng = np.random.default_rng(13)
-    pred = rng.standard_normal((2, 3, 6))
-    target = rng.standard_normal((2, 3, 6))
-    mask = rng.random((2, 6)) < 0.8
-    mask[0, 0] = True
-
-    def loss():
-        return mse_loss(pred, target, mask)[0]
-
-    _, grad = mse_loss(pred, target, mask)
-    assert max_rel_error(grad, central_difference(loss, pred)) < 1e-6
 
 
 # ---------------------------------------------------------------------------
