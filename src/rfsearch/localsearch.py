@@ -165,8 +165,12 @@ def multi_dilated_backward(tape: MultiDilatedTape, grad_out: np.ndarray):
 
     Branch i's output is conv(x, W, d_i) + b, linear in (W, b), so
     <grad_out, y_i> = <W, gw_i> + <b, gb> from the branch's own weight
-    gradient and the bias gradient gb = sum(grad_out), which every branch
-    shares: no branch output is kept for the coefficient gradient.
+    gradient and the bias gradient gb = sum(grad_out): no branch output is
+    kept for the coefficient gradient.  The term <b, gb> is the same for
+    every branch and is left out, so grad_alpha is exact only up to a
+    constant that every branch shares.  That constant never reaches
+    grad_coefficients: pmf_backward subtracts <grad_alpha, alpha>, and
+    sum(alpha) = 1 for every PMF kind.
 
     alpha folds into the shared kernel.  Each branch adds the input gradient
     of the scaled kernel alpha_i W into one grad_x; the weight gradient is
@@ -178,7 +182,6 @@ def multi_dilated_backward(tape: MultiDilatedTape, grad_out: np.ndarray):
     grad_out = checked_grad_out(tape.branch_tapes[0], grad_out)
     kernel = tape.state.kernel
     gb = grad_out.sum(axis=(0, 2))
-    bias_pairing = float(np.dot(kernel.bias, gb))
     grad_x = None
     grad_w = None
     grad_alpha = np.empty(len(tape.branch_tapes))
@@ -189,7 +192,7 @@ def multi_dilated_backward(tape: MultiDilatedTape, grad_out: np.ndarray):
         gw = _kernels.conv1d_grad_weights(
             grad_out, btape.x, kernel.kernel_size, btape.offsets
         )
-        grad_alpha[i] = float(np.vdot(kernel.weights, gw)) + bias_pairing
+        grad_alpha[i] = float(np.vdot(kernel.weights, gw))
         gw *= a
         if grad_w is None:
             grad_w = gw
