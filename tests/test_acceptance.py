@@ -15,6 +15,7 @@ the lagged-copy task.  Two facts shape it:
   on any tiny downward lean of a near-symmetric PMF around it.
 """
 
+import functools
 import json
 import time
 
@@ -365,9 +366,14 @@ _SUITE_NET = NetworkSpec(
 )
 
 
+@functools.cache
 def _suite_final_fitness(branches: int, pmf_kind: str, seed: int) -> float:
     """One synthetic-suite replicate: refine on multiscale_sum, retrain the
-    refined genome from scratch, report validation accuracy."""
+    refined genome from scratch, report validation accuracy.
+
+    A pure function of its arguments, so it is computed once per process:
+    criterion 6's S = 3 column and criterion 7's abs column are the same ten
+    replicates."""
     task = TaskSpec(
         kind="multiscale_sum", sequence_length=96, train_size=512, val_size=256,
         windows=(4, 32), seed=seed,
