@@ -608,6 +608,12 @@ _INVALID_CONFIGS = [
     ),
     pytest.param("global", {"global": _GA, "task": {**_TASK, "kind": "noisy_event_span"}},
                  id="task-kind-noisy-event-span"),
+    pytest.param("global", {"global": _GA, "task": {**_TASK, "event_rate": 0.1}},
+                 id="task-event-rate-key-unknown"),
+    pytest.param("global", {"global": _GA, "task": {**_TASK, "span": 4}},
+                 id="task-span-key-unknown"),
+    pytest.param("global", {"global": _GA, "task": {**_TASK, "noise_level": 0.5}},
+                 id="task-noise-level-key-unknown"),
     pytest.param("global", {"global": _GA, "master_seed": -1}, id="master-seed-negative"),
     pytest.param("global", {"global": _GA, "task": {**_TASK, "seed": -1}}, id="task-seed-negative"),
     pytest.param("global", {"global": _GA, "task": {**_TASK, "permutation_seed": -1}},
