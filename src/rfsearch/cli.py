@@ -1,7 +1,8 @@
 """Experiment harness: JSON configs, subcommands, logging, reports.
 
 Each config section is read into the dataclass that owns its fields,
-defaults and checks (``task`` -> ``TaskSpec``, ``network`` -> ``NetworkSpec``
+defaults and checks (``task`` -> ``TaskSpec``, with only the keys that
+``TASK_KEYS`` names for its kind, ``network`` -> ``NetworkSpec``
 and ``LayerSpec``, ``training`` -> ``TrainSettings``, ``local`` ->
 ``LocalConfig``, ``surrogate`` -> ``SurrogateFitness``, the search keys of
 ``global`` and ``oracle.ga`` -> ``GlobalConfig``).  JSON types are strict: a
@@ -56,7 +57,7 @@ from .localsearch import (
 )
 from .network import NetworkSpec, Trainer, TrainSettings
 from .oracle import SurrogateFitness, random_search
-from .tasks import TaskSpec, generate
+from .tasks import TASK_KEYS, TaskSpec, generate
 from .tensorops import keep_heap
 
 __all__ = ["main", "ConfigError", "ExperimentConfig", "load_config"]
@@ -84,6 +85,7 @@ class _SpaceKeys:
 @dataclasses.dataclass(frozen=True)
 class OracleConfig:
     """The ``oracle`` section's own keys, plus the GA and surrogate they set.
+    Each seed runs the GA, then random search with the GA's budget.
 
     A null ``target`` is drawn from the master seed at run time; until then
     ``surrogate`` holds the all-ones genome as its target."""
@@ -91,7 +93,6 @@ class OracleConfig:
     length: int = 8
     target: tuple[int, ...] | None = None
     seeds: int = 20
-    methods: tuple[str, ...] = ("ga", "random")
     ga: GlobalConfig | None = None
     surrogate: SurrogateFitness | None = None
 
@@ -102,8 +103,6 @@ class OracleConfig:
             raise ValueError(f"target has {len(self.target)} genes, length is {self.length}")
         if self.seeds < 1:
             raise ValueError("seeds must be >= 1")
-        if sorted(self.methods) not in (["ga"], ["random"], ["ga", "random"]):
-            raise ValueError(f"methods must be 'ga', 'random' or both, got {self.methods}")
 
 
 @dataclasses.dataclass
@@ -214,6 +213,14 @@ def _space(keys: _SpaceKeys, where: str, cap: int | None) -> SearchSpace:
     return _build(build_space, where, keys.k, keys.T, cap)
 
 
+def _read_task(section: dict) -> TaskSpec:
+    """A task takes ``kind`` and the keys ``TASK_KEYS`` names for that kind."""
+    kind = section.get("kind")
+    if type(kind) is str and kind in TASK_KEYS:
+        _no_leftovers(section.keys() - {"kind", *TASK_KEYS[kind]}, f"task of kind {kind}")
+    return _read(section, TaskSpec, "task")
+
+
 def _read_network(section: dict, task: TaskSpec | None) -> NetworkSpec:
     if task is None:
         raise ConfigError("a network section needs a task section")
@@ -263,7 +270,7 @@ def load_config(path) -> ExperimentConfig:
     _no_leftovers(doc, "top level")
     if not sec.keys() & {"global", "local", "oracle"}:
         raise ConfigError("config needs at least one of: global, local, oracle")
-    task = _read(sec["task"], TaskSpec, "task") if "task" in sec else None
+    task = _read_task(sec["task"]) if "task" in sec else None
     network = _read_network(sec["network"], task) if "network" in sec else None
     surrogate = (
         _read(sec["surrogate"], SurrogateFitness, "surrogate") if "surrogate" in sec else None
@@ -314,7 +321,8 @@ def _resolved_config_doc(cfg: ExperimentConfig) -> dict:
     doc = _doc(cfg, skip=_SECTIONS.values())
     doc["training"] = _doc(cfg.training)
     if cfg.task is not None:
-        doc["task"] = _doc(cfg.task)
+        kept = {"kind", *TASK_KEYS[cfg.task.kind]}
+        doc["task"] = {k: v for k, v in _doc(cfg.task).items() if k in kept}
     if cfg.network is not None:
         doc["network"] = _doc(cfg.network, skip=("in_channels", "num_classes"))
     if cfg.surrogate is not None:
@@ -492,14 +500,12 @@ def cmd_oracle(cfg: ExperimentConfig, jobs: int) -> int:
     out = Path(cfg.output_dir)
     _write_json(out / "resolved_config.json", _resolved_config_doc(cfg))
     rows = []
-    finals: dict[str, list[float]] = {m: [] for m in o.methods}
+    finals: dict[str, list[float]] = {"ga": [], "random": []}
     for s in range(o.seeds):
         seed = seeding.derive_seed(cfg.master_seed, "oracle-seed", s)
-        for method in o.methods:
-            if method == "ga":
-                _, trajectory = run_global_search(o.ga, fitness.as_trainer(), seed, jobs=jobs)
-            else:
-                _, trajectory = random_search(o.ga.space, o.length, budget, fitness, seed)
+        runs = {"ga": run_global_search(o.ga, fitness.as_trainer(), seed, jobs=jobs),
+                "random": random_search(o.ga.space, o.length, budget, fitness, seed)}
+        for method, (_, trajectory) in runs.items():
             for b, f in trajectory:
                 rows.append((b, f, s, method))
             finals[method].append(trajectory[-1][1])

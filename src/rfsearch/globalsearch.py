@@ -58,7 +58,6 @@ class GlobalConfig:
     p_m: float = 0.2
     p_s: float = 0.2
     epochs: int = 3
-    mutation_mode: str = "uniform"
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -72,8 +71,6 @@ class GlobalConfig:
         for name, p in (("p_m", self.p_m), ("p_s", self.p_s)):
             if not (0.0 <= p <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if self.mutation_mode not in ("uniform", "neighbor"):
-            raise ValueError(f"unknown mutation_mode {self.mutation_mode!r}")
 
 
 def selection_probabilities(fitnesses) -> np.ndarray:
@@ -126,20 +123,10 @@ def crossover_segments(
     return DilationGenome(child1), DilationGenome(child2)
 
 
-def mutate(
-    g: DilationGenome,
-    space: SearchSpace,
-    p_m: float,
-    p_s: float,
-    rng: np.random.Generator,
-    mode: str = "uniform",
-) -> DilationGenome:
-    """With probability p_m, resample each gene with probability p_s.
-
-    ``uniform`` draws replacement genes uniformly from the candidate set
-    (possibly redrawing the current value); ``neighbor`` steps one position
-    up or down the sorted candidate list.
-    """
+def mutate(g: DilationGenome, space: SearchSpace, p_m: float, p_s: float,
+           rng: np.random.Generator) -> DilationGenome:
+    """With probability p_m, resample each gene with probability p_s,
+    uniformly from the candidate set (possibly redrawing the current value)."""
     for name, p in (("p_m", p_m), ("p_s", p_s)):
         if not (0.0 <= p <= 1.0):
             raise ValueError(f"{name} must lie in [0, 1]")
@@ -150,15 +137,7 @@ def mutate(
     # all the gene draws come first, then one replacement draw per hit
     hits = [i for i, u in enumerate(rng.random(len(genes)).tolist()) if u < p_s]
     for i in hits:
-        if mode == "uniform":
-            genes[i] = cands[int(rng.integers(0, len(cands)))]
-        elif mode == "neighbor":
-            idx = min(range(len(cands)), key=lambda j: (abs(cands[j] - genes[i]), j))
-            step = 1 if rng.integers(0, 2) else -1
-            idx = min(len(cands) - 1, max(0, idx + step))
-            genes[i] = cands[idx]
-        else:
-            raise ValueError(f"unknown mutation mode {mode!r}")
+        genes[i] = cands[int(rng.integers(0, len(cands)))]
     return DilationGenome(tuple(genes))
 
 
@@ -363,10 +342,7 @@ def run_global_search(
                 offspring.extend((c1, c2))
             if M % 2 == 1:
                 offspring.append(members[parent_idx[M - 1]].genome)
-            offspring = [
-                mutate(g, cfg.space, cfg.p_m, cfg.p_s, rng_evolve, cfg.mutation_mode)
-                for g in offspring
-            ]
+            offspring = [mutate(g, cfg.space, cfg.p_m, cfg.p_s, rng_evolve) for g in offspring]
             new_records = eval_batch(offspring)
             ranked = survivors(ranked, new_records)
             members = [r for _, r in ranked]

@@ -271,7 +271,6 @@ class LocalConfig:
     branches: int = 3
     iterations: int = 10
     epochs_per_iteration: int = 3
-    w_init: float = 1.0
     finalize_parallel: bool = False
     pmf_kind: str = "abs"
     max_dilation: int | None = None
@@ -332,13 +331,13 @@ class LocalIterationRow:
 
 def run_local_search(initial: DilationGenome, cfg: LocalConfig, trainer, seed: int = 0):
     """Refine ``initial`` by iterating: sample branch dilations per layer,
-    reset coefficients to ``w_init``, train kernel and coefficients jointly,
+    reset every coefficient to 1, train kernel and coefficients jointly,
     then move each layer's dilation to the PMF expectation E, stochastically
     rounded: ``floor(E + u)``, with one u ~ U[0, 1) per layer and iteration
     drawn from the ``"local-update"`` sub-stream of ``seed``.
 
     ``trainer`` must provide ``local_session(initial, cfg)`` returning a
-    session with ``set_branches(branch_sets, w_init)``, ``train(epochs)``,
+    session with ``set_branches(branch_sets)``, ``train(epochs)``,
     ``branch_pmfs() -> {layer_index: alpha}`` and ``set_dilations(dilations)``.
     Shared kernels persist across iterations; only coefficients are reset.
 
@@ -362,7 +361,7 @@ def run_local_search(initial: DilationGenome, cfg: LocalConfig, trainer, seed: i
                 branch_sets[li] = candidates
         if not branch_sets:
             break  # every layer is pinned at a boundary fixpoint
-        session.set_branches(branch_sets, cfg.w_init)
+        session.set_branches(branch_sets)
         session.train(cfg.epochs_per_iteration)
         alphas = session.branch_pmfs()
         offsets = rng.random(len(genome.dilations))

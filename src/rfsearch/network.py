@@ -164,14 +164,14 @@ class DilatedNet:
         for gi, d in enumerate(dilations):
             self._set_layer(gi, (d,), None)
 
-    def set_branches(self, branch_sets: dict, w_init: float = 1.0) -> None:
+    def set_branches(self, branch_sets: dict) -> None:
         """Switch the given searched layers into branch mode.
 
-        Coefficients start at ``w_init``; kernels are left untouched so
-        weights persist across calls.
+        Every coefficient starts at 1, so the PMF starts uniform; kernels are
+        left untouched so weights persist across calls.
         """
         for gi, dils in branch_sets.items():
-            self._set_layer(gi, dils, np.full(len(dils), float(w_init)))
+            self._set_layer(gi, dils, np.ones(len(dils)))
 
     def branch_pmfs(self) -> dict[int, np.ndarray]:
         """Mixing PMF of each searched layer in branch mode, by genome index."""
@@ -270,6 +270,9 @@ class Trainer:
                  seed: int = 0):
         if net_spec.in_channels != data.in_channels:
             raise ValueError("network in_channels does not match task data")
+        if net_spec.num_classes != data.num_classes:
+            raise ValueError(f"network has {net_spec.num_classes} classes, "
+                             f"task data has {data.num_classes}")
         self.data = data
         self.net_spec = net_spec
         self.settings = settings
@@ -353,8 +356,8 @@ class LocalSession:
     def net(self) -> DilatedNet:
         return self._net
 
-    def set_branches(self, branch_sets: dict, w_init: float) -> None:
-        self._net.set_branches(branch_sets, w_init)
+    def set_branches(self, branch_sets: dict) -> None:
+        self._net.set_branches(branch_sets)
 
     def train(self, epochs: int) -> float:
         return self._trainer._train_net(self._net, epochs, self._rng)

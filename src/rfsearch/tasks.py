@@ -13,7 +13,8 @@ that count.  The tasks:
   window sizes at once; needs coverage of the largest window and rewards
   multi-scale taps.
 * permuted_pixels: optional sequence classification of IDX-format images
-  flattened with a fixed pixel permutation (label on the last frame only).
+  flattened with a fixed pixel permutation (label on the last frame only);
+  ``sequence_length`` is the pixel count of one image.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from . import seeding
 
 __all__ = [
     "TASK_KINDS",
+    "TASK_KEYS",
     "TaskSpec",
     "TaskData",
     "generate",
@@ -38,22 +40,29 @@ __all__ = [
     "load_idx",
 ]
 
-TASK_KINDS = ("lagged_copy", "multiscale_sum", "permuted_pixels")
+_SIZES = ("sequence_length", "train_size", "val_size")
+# the TaskSpec fields each kind's generator reads: its config keys besides ``kind``
+TASK_KEYS = {
+    "lagged_copy": (*_SIZES, "seed", "num_symbols", "lag"),
+    "multiscale_sum": (*_SIZES, "seed", "windows"),
+    "permuted_pixels": (*_SIZES, "images_path", "labels_path", "permutation_seed"),
+}
+TASK_KINDS = tuple(TASK_KEYS)
 
 
 @dataclass(frozen=True)
 class TaskSpec:
+    """One task.  Its kind's generator reads ``kind`` and the fields that
+    ``TASK_KEYS`` names, and a config may set no other."""
+
     kind: str
     sequence_length: int = 256
     train_size: int = 2000
     val_size: int = 500
     seed: int = 0
-    # lagged_copy
     num_symbols: int = 8
     lag: int = 12
-    # multiscale_sum
     windows: tuple[int, ...] = (4, 32)
-    # permuted_pixels
     images_path: str | None = None
     labels_path: str | None = None
     permutation_seed: int = 0
@@ -205,6 +214,9 @@ def gen_permuted_pixels(spec: TaskSpec) -> TaskData:
                          f"[{labels.min()}, {labels.max()}]")
     n, h, w = images.shape
     T = h * w
+    if T != spec.sequence_length:
+        raise ValueError(f"{h}x{w} images flatten to {T} frames, "
+                         f"sequence_length is {spec.sequence_length}")
     perm = seeding.derive_rng(spec.permutation_seed, "pixel-permutation").permutation(T)
     flat = images.reshape(n, 1, T).astype(np.float64) / 255.0
     flat = flat[:, :, perm]

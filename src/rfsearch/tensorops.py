@@ -251,6 +251,11 @@ def softmax_nll_loss(logits: np.ndarray, targets: np.ndarray, mask=None,
 # Adam
 # --------------------------------------------------------------------------
 
+# Adam's moment decay rates and denominator guard, at their published defaults
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPSILON = 1e-8
+
 
 class Adam:
     """In-place Adam with bias correction over a list of parameter arrays.
@@ -260,22 +265,8 @@ class Adam:
     then each parameter takes its slice of the update.
     """
 
-    def __init__(
-        self,
-        params: list[np.ndarray],
-        learning_rate: float = 1e-2,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-    ):
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ValueError("betas must lie in [0, 1)")
-        if epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+    def __init__(self, params: list[np.ndarray], learning_rate: float = 1e-2):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self._ends = np.cumsum([p.size for p in params], dtype=np.int64)
         size = int(self._ends[-1]) if params else 0
         self.m = np.zeros(size)
@@ -298,7 +289,7 @@ class Adam:
             first = int(np.argmin(finite))
             i = int(np.searchsorted(self._ends, first, side="right"))
             raise TrainingDiverged(f"non-finite gradient for parameter {i}")
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = _BETA1, _BETA2
         bc1 = 1.0 - b1**self.steps
         bc2 = 1.0 - b2**self.steps
         m, v, u, s = self.m, self.v, self._update, self._scratch
@@ -314,7 +305,7 @@ class Adam:
         u *= self.learning_rate
         np.divide(v, bc2, out=s)
         np.sqrt(s, out=s)
-        s += self.epsilon
+        s += _EPSILON
         u /= s
         for p, end in zip(params, self._ends):
             p -= u[end - p.size : end].reshape(p.shape)

@@ -4,6 +4,8 @@ Everything here is deliberately naive (hand-unrolled loops, central
 differences) and shares no code with the library paths it checks.
 """
 
+import struct
+
 import numpy as np
 
 
@@ -125,3 +127,13 @@ def per_array_adam(params, grad_steps, lr, beta1=0.9, beta2=0.999, eps=1e-8):
             v[i] = beta2 * v[i] + (1.0 - beta2) * g * g
             params[i] = params[i] - lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + eps)
     return params, m, v
+
+
+def write_idx(path, array):
+    """``array`` (uint8 or big-endian int32) as an IDX file."""
+    codes = {np.dtype("uint8"): 0x08, np.dtype(">i4"): 0x0C}
+    arr = np.asarray(array)
+    with open(path, "wb") as fh:
+        fh.write(bytes([0, 0, codes[arr.dtype], arr.ndim]))
+        fh.write(struct.pack(f">{arr.ndim}I", *arr.shape))
+        fh.write(arr.tobytes())

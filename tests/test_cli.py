@@ -8,12 +8,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rfsearch
+from oracles import write_idx
 from rfsearch import cli, tensorops
 from rfsearch.cli import ConfigError, load_config, main
 from rfsearch.localsearch import expected_dilation
+from rfsearch.tasks import TASK_KEYS
 
 
 def _write(path: Path, doc) -> str:
@@ -483,6 +486,18 @@ _ORACLE = {
     "k": 2, "T": 3, "length": 3, "seeds": 2,
     "ga": {"population": 4, "iterations": 2, "p_m": 0.5},
 }
+_MULTISCALE = {"kind": "multiscale_sum", "sequence_length": 24, "train_size": 48,
+               "val_size": 24, "windows": [2, 6], "seed": 1}
+# 4x6 images, read from the working directory: see _write_pixels
+_PIXELS = {"kind": "permuted_pixels", "sequence_length": 24, "train_size": 48,
+           "val_size": 24, "images_path": "images.idx", "labels_path": "labels.idx",
+           "permutation_seed": 2}
+
+
+def _write_pixels(directory: Path) -> None:
+    rng = np.random.default_rng(0)
+    write_idx(directory / "images.idx", rng.integers(0, 256, size=(72, 4, 6)).astype(np.uint8))
+    write_idx(directory / "labels.idx", rng.integers(0, 10, size=72).astype(">i4"))
 
 
 class TestResolvedConfigRoundTrip:
@@ -510,6 +525,10 @@ class TestResolvedConfigRoundTrip:
                 ["--init", "structure.json"], id="train-parallel-structure",
             ),
             pytest.param("oracle", {"oracle": _ORACLE}, [], [], id="oracle"),
+            pytest.param("global", {"global": _GA, "task": _MULTISCALE}, [], [],
+                         id="global-multiscale"),
+            pytest.param("local", {"local": _LOCAL, "task": _PIXELS}, [], [],
+                         id="local-permuted-pixels"),
         ],
     )
     def test_rerun_from_resolved_config(
@@ -521,11 +540,15 @@ class TestResolvedConfigRoundTrip:
             "type": "parallel",
             "layers": [{"dilations": [2, 3, 4], "alphas": [0.2, 0.5, 0.3]}],
         }))
+        _write_pixels(tmp_path)
         out = tmp_path / "run"
         record = "train_resolved_config.json" if command == "train" else "resolved_config.json"
         assert main([command, "--config", _task_config(tmp_path, **sections), *flags]) == 0
         first = _run_outputs(out)
         assert record in first
+        # the task's own kind's keys, each with its value or its default
+        task = sections.get("task", _TASK)
+        assert set(json.loads(first[record])["task"]) == {"kind", *TASK_KEYS[task["kind"]]}
         resolved = tmp_path / "resolved.json"
         shutil.copy(out / record, resolved)
         shutil.rmtree(out)
@@ -616,8 +639,25 @@ _INVALID_CONFIGS = [
                  id="task-noise-level-key-unknown"),
     pytest.param("global", {"global": _GA, "master_seed": -1}, id="master-seed-negative"),
     pytest.param("global", {"global": _GA, "task": {**_TASK, "seed": -1}}, id="task-seed-negative"),
-    pytest.param("global", {"global": _GA, "task": {**_TASK, "permutation_seed": -1}},
+    pytest.param("global", {"global": _GA, "task": {**_PIXELS, "permutation_seed": -1}},
                  id="permutation-seed-negative"),
+    # options with one value in use are constants now, so even that value is
+    # an unknown key
+    pytest.param("global", {"global": {**_GA, "mutation_mode": "uniform"}},
+                 id="global-mutation-mode-key-unknown"),
+    pytest.param("oracle",
+                 {"oracle": {**_ORACLE, "ga": {**_ORACLE["ga"], "mutation_mode": "uniform"}}},
+                 id="oracle-ga-mutation-mode-key-unknown"),
+    pytest.param("local", {"local": {**_LOCAL, "w_init": 1.0}}, id="local-w-init-key-unknown"),
+    pytest.param("oracle", {"oracle": {**_ORACLE, "methods": ["ga", "random"]}},
+                 id="oracle-methods-key-unknown"),
+    # a task takes only its own kind's keys
+    pytest.param("global", {"global": _GA, "task": {**_MULTISCALE, "lag": 12}},
+                 id="multiscale-sum-lag-key"),
+    pytest.param("global", {"global": _GA, "task": {**_PIXELS, "seed": 0}},
+                 id="permuted-pixels-seed-key"),
+    pytest.param("global", {"global": _GA, "task": {**_TASK, "windows": [4, 32]}},
+                 id="lagged-copy-windows-key"),
 ]
 
 

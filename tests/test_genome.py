@@ -153,13 +153,12 @@ class TestGenesArePythonInts:
         for _ in range(20):
             assert all(map(_plain_ints, crossover_segments(a, b, rng)))
 
-    @pytest.mark.parametrize("mode", ["uniform", "neighbor"])
-    def test_mutate(self, mode):
+    def test_mutate(self):
         rng = np.random.default_rng(2)
         g = random_genome(NUMPY_SPACE, 6, rng)
         changed = 0
         for _ in range(20):
-            child = mutate(g, NUMPY_SPACE, 1.0, 0.5, rng, mode)
+            child = mutate(g, NUMPY_SPACE, 1.0, 0.5, rng)
             assert _plain_ints(child)
             changed += child != g
         assert changed > 0

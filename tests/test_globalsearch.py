@@ -130,13 +130,6 @@ class TestMutate:
         rate = changed / (trials * len(g))
         assert abs(rate - expected) < 0.005
 
-    def test_neighbor_mode_moves_one_step(self):
-        rng = np.random.default_rng(5)
-        g = DilationGenome((2, 2, 2, 2))
-        for _ in range(200):
-            out = mutate(g, SPACE_3, 1.0, 1.0, rng, mode="neighbor")
-            assert all(d in (1, 4) for d in out.dilations)
-
     def test_results_stay_in_space(self):
         rng = np.random.default_rng(6)
         g = DilationGenome((1, 4, 2, 2, 4))

@@ -143,7 +143,7 @@ def trainer_losses() -> dict[str, str]:
         session = trainer.local_session(DilationGenome((2, 2)), LocalConfig())
         steps = []
         for branches in ({0: (1, 2, 3)}, {0: (2, 3), 1: (1, 2, 3)}):
-            session.set_branches(branches, 1.0)
+            session.set_branches(branches)
             loss = session.train(2)
             steps.append((loss, session.evaluate(),
                           {k: p.tolist() for k, p in session.branch_pmfs().items()}))

@@ -358,12 +358,12 @@ class TestExpectedDilation:
 class _FrozenSession:
     """Local-search session stub whose training never changes anything."""
 
-    def __init__(self, w_init_record):
+    def __init__(self, branch_record):
         self.pmfs = {}
-        self._w_record = w_init_record
+        self._record = branch_record
 
-    def set_branches(self, branch_sets, w_init):
-        self._w_record.append(w_init)
+    def set_branches(self, branch_sets):
+        self._record.append(branch_sets)
         self.pmfs = {
             li: np.full(len(dils), 1.0 / len(dils)) for li, dils in branch_sets.items()
         }
@@ -381,10 +381,10 @@ class _FrozenSession:
 
 class _FrozenTrainer:
     def __init__(self):
-        self.w_inits = []
+        self.branch_sets = []
 
     def local_session(self, initial, cfg):
-        return _FrozenSession(self.w_inits)
+        return _FrozenSession(self.branch_sets)
 
 
 class _LandscapeSession(_FrozenSession):
@@ -429,7 +429,7 @@ class TestRunLocalSearch:
         trainer = _FrozenTrainer()
         result, history = run_local_search(DilationGenome((10, 40)), cfg, trainer)
         assert result == DilationGenome((10, 40))
-        assert trainer.w_inits == [1.0]
+        assert len(trainer.branch_sets) == 1
         assert {row.layer_index for row in history} == {0, 1}
 
     def test_one_step_moves_toward_unimodal_minimum_or_keeps(self):

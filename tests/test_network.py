@@ -80,7 +80,7 @@ class TestNetworkGradients:
         kind = branch_kind or "abs"
         net = DilatedNet(SPEC, DilationGenome((2, 3)), rng, pmf_kind=kind)
         if branch_kind is not None:
-            net.set_branches({1: (2, 3, 5)}, w_init=1.0)
+            net.set_branches({1: (2, 3, 5)})
             coeffs = net.layers[2].coefficients  # searched layer 1 is layer 2
             coeffs += rng.standard_normal(3) * 0.3  # avoid symmetric stationary points
         x = rng.standard_normal((2, 3, 14))
@@ -153,7 +153,7 @@ def test_backward_masks_in_place_with_the_out_of_place_bits(branched):
     )
     net = DilatedNet(spec, DilationGenome((1, 2, 3, 2)), rng)
     if branched:
-        net.set_branches({1: (1, 2, 4), 3: (2, 3)}, w_init=1.0)
+        net.set_branches({1: (1, 2, 4), 3: (2, 3)})
     x = rng.standard_normal((3, 3, 20))
     y = rng.integers(0, 4, size=(3, 20))
     _, grad_logits = softmax_nll_loss(net.forward(x, train=True), y)
@@ -255,13 +255,25 @@ class TestTrainer:
         assert m_long["val_loss"] < m_short["val_loss"]
         assert f_long > 0.9
 
+    @pytest.mark.parametrize("num_classes", [3, 9])
+    def test_class_count_must_match_task_data(self, num_classes):
+        # lagged_copy with 4 symbols has 4 classes; without the check a 9-class
+        # head trains and scores, and a 3-class one fails inside the loss
+        data = generate(TaskSpec(kind="lagged_copy", sequence_length=16, train_size=8,
+                                 val_size=4, lag=2, num_symbols=4))
+        spec = NetworkSpec(4, (LayerSpec(2, 4),), num_classes)
+        with pytest.raises(ValueError,
+                           match=f"network has {num_classes} classes, task data has 4"):
+            Trainer(data, spec, TrainSettings())
+        Trainer(data, NetworkSpec(4, (LayerSpec(2, 4),), 4), TrainSettings())
+
     def test_local_session_protocol(self):
         rng = np.random.default_rng(7)
         data = _tiny_data(rng)
         trainer = Trainer(data, SPEC, TrainSettings(batch_size=8), seed=0)
         cfg = LocalConfig(iterations=1, epochs_per_iteration=1)
         session = trainer.local_session(DilationGenome((2, 4)), cfg)
-        session.set_branches({0: (1, 2, 3)}, w_init=1.0)
+        session.set_branches({0: (1, 2, 3)})
         before = session.branch_pmfs()
         np.testing.assert_allclose(before[0], [1 / 3] * 3)
         session.train(1)
@@ -278,13 +290,15 @@ class TestTrainer:
         trainer = Trainer(data, SPEC, TrainSettings(batch_size=8), seed=0)
         session = trainer.local_session(DilationGenome((2, 4)), LocalConfig())
         w_before = session.net.layers[0].kernel.weights.copy()
-        session.set_branches({0: (1, 2, 3)}, w_init=1.0)
+        session.set_branches({0: (1, 2, 3)})
         assert np.array_equal(session.net.layers[0].kernel.weights, w_before)
         session.train(1)
         w_trained = session.net.layers[0].kernel.weights.copy()
         assert not np.array_equal(w_trained, w_before)
-        session.set_branches({0: (2, 3, 4)}, w_init=1.0)
+        session.set_branches({0: (2, 3, 4)})
         assert np.array_equal(session.net.layers[0].kernel.weights, w_trained)
+        # the trained coefficients do not carry over: every branch restarts at 1
+        assert np.array_equal(session.net.layers[0].coefficients, np.ones(3))
 
 
 class TestParallelParameterAccounting:

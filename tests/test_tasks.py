@@ -1,11 +1,13 @@
-import struct
+import dataclasses
 
 import numpy as np
 import pytest
 
+from oracles import write_idx
 from rfsearch.genome import DilationGenome
 from rfsearch.network import DilatedNet, LayerSpec, NetworkSpec, Trainer, TrainSettings
 from rfsearch.tasks import (
+    TASK_KEYS,
     TaskSpec,
     framewise_accuracy,
     generate,
@@ -199,22 +201,12 @@ class TestFramewiseAccuracy:
             framewise_accuracy(np.zeros((1, 2, 3)), np.zeros((1, 4), dtype=int))
 
 
-def _write_idx(path, array):
-    codes = {np.dtype("uint8"): 0x08, np.dtype(">i4"): 0x0C}
-    arr = np.asarray(array)
-    code = codes[arr.dtype]
-    with open(path, "wb") as fh:
-        fh.write(bytes([0, 0, code, arr.ndim]))
-        fh.write(struct.pack(f">{arr.ndim}I", *arr.shape))
-        fh.write(arr.tobytes())
-
-
 class TestIdxAndPermutedPixels:
     def test_idx_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         images = rng.integers(0, 256, size=(6, 4, 5)).astype(np.uint8)
         path = tmp_path / "imgs.idx"
-        _write_idx(path, images)
+        write_idx(path, images)
         back = load_idx(path)
         assert np.array_equal(back, images)
 
@@ -228,10 +220,10 @@ class TestIdxAndPermutedPixels:
         rng = np.random.default_rng(1)
         images = rng.integers(0, 256, size=(10, 3, 4)).astype(np.uint8)
         labels = rng.integers(0, 10, size=10).astype(">i4")
-        _write_idx(tmp_path / "imgs.idx", images)
-        _write_idx(tmp_path / "labels.idx", labels)
+        write_idx(tmp_path / "imgs.idx", images)
+        write_idx(tmp_path / "labels.idx", labels)
         spec = TaskSpec(
-            kind="permuted_pixels", train_size=6, val_size=4,
+            kind="permuted_pixels", sequence_length=12, train_size=6, val_size=4,
             images_path=str(tmp_path / "imgs.idx"),
             labels_path=str(tmp_path / "labels.idx"),
             permutation_seed=7,
@@ -250,10 +242,10 @@ class TestIdxAndPermutedPixels:
     @pytest.mark.parametrize("top_label, ok", [(4, True), (9, True), (10, False)])
     def test_permuted_pixels_has_the_spec_class_count(self, tmp_path, top_label, ok):
         images = np.zeros((4, 2, 2), dtype=np.uint8)
-        _write_idx(tmp_path / "imgs.idx", images)
-        _write_idx(tmp_path / "labels.idx", np.array([0, 1, 2, top_label], dtype=">i4"))
+        write_idx(tmp_path / "imgs.idx", images)
+        write_idx(tmp_path / "labels.idx", np.array([0, 1, 2, top_label], dtype=">i4"))
         spec = TaskSpec(
-            kind="permuted_pixels", train_size=2, val_size=2,
+            kind="permuted_pixels", sequence_length=4, train_size=2, val_size=2,
             images_path=str(tmp_path / "imgs.idx"),
             labels_path=str(tmp_path / "labels.idx"),
         )
@@ -263,3 +255,53 @@ class TestIdxAndPermutedPixels:
             with pytest.raises(ValueError, match=r"labels must lie in \[0, 10\)"):
                 generate(spec)
 
+    @pytest.mark.parametrize("length", [11, 13, 256])
+    def test_permuted_pixels_sequence_length_is_the_pixel_count(self, tmp_path, length):
+        # the genome cap, local.max_dilation and min_receptive_field all derive
+        # from sequence_length, so it must be the h*w frames the data has
+        images = np.zeros((4, 3, 4), dtype=np.uint8)
+        write_idx(tmp_path / "imgs.idx", images)
+        write_idx(tmp_path / "labels.idx", np.array([0, 1, 2, 3], dtype=">i4"))
+        spec = TaskSpec(
+            kind="permuted_pixels", sequence_length=length, train_size=2, val_size=2,
+            images_path=str(tmp_path / "imgs.idx"),
+            labels_path=str(tmp_path / "labels.idx"),
+        )
+        with pytest.raises(ValueError,
+                           match=f"3x4 images flatten to 12 frames, sequence_length is {length}"):
+            generate(spec)
+
+
+def _same_data(a, b) -> bool:
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
+               for f in dataclasses.fields(a))
+
+
+@pytest.mark.parametrize("kind", sorted(TASK_KEYS))
+def test_task_keys_are_the_fields_the_generator_reads(tmp_path, kind):
+    """Changing one of the kind's keys changes its data or is refused;
+    changing any other field leaves every array as it was."""
+    rng = np.random.default_rng(4)
+    for name in ("a", "b"):
+        write_idx(tmp_path / f"imgs_{name}.idx",
+                   rng.integers(0, 256, size=(10, 3, 4)).astype(np.uint8))
+        write_idx(tmp_path / f"labels_{name}.idx", rng.integers(0, 10, size=10).astype(">i4"))
+    base = dict(kind=kind, sequence_length=12, train_size=4, val_size=3, seed=1,
+                num_symbols=3, lag=2, windows=(2, 4), permutation_seed=5,
+                images_path=str(tmp_path / "imgs_a.idx"),
+                labels_path=str(tmp_path / "labels_a.idx"))
+    altered = dict(sequence_length=13, train_size=5, val_size=4, seed=2, num_symbols=4,
+                   lag=3, windows=(3, 5), permutation_seed=6,
+                   images_path=str(tmp_path / "imgs_b.idx"),
+                   labels_path=str(tmp_path / "labels_b.idx"))
+    assert set(altered) == {f.name for f in dataclasses.fields(TaskSpec)} - {"kind"}
+    data = generate(TaskSpec(**base))
+    for key, value in altered.items():
+        spec = TaskSpec(**{**base, key: value})
+        if key not in TASK_KEYS[kind]:
+            assert _same_data(generate(spec), data), key
+            continue
+        try:
+            assert not _same_data(generate(spec), data), key
+        except ValueError:
+            assert kind == "permuted_pixels" and key == "sequence_length"
