@@ -6,9 +6,9 @@ structure.
 The pipeline's global stage writes accuracies only, which a small numeric
 change rarely moves, so a second record pins the repr of every loss and
 fitness of direct Trainer and LocalSession runs on fixed structures: a
-classifier on lagged_copy, and one on multiscale_sum whose input and middle
-layer have one channel, so both one-channel kernel cases run (a forward with
-Cin = 1, an input gradient with Cout = 1).
+classifier on lagged_copy, and one on multiscale_sum whose input and searched
+K = 2 middle layer have one channel, so both one-channel kernel cases run (a
+forward with Cin = 1, an input gradient with Cout = 1 over two taps).
 
 Criterion 9 checks that reruns agree within one tree; these tests check that a
 refactor leaves every pinned output byte-identical to the tree the digests
@@ -111,36 +111,49 @@ def run_pipeline(root: Path) -> dict[str, str]:
     return digests
 
 
-def _trainers() -> dict[str, Trainer]:
+def _records() -> dict[str, tuple[Trainer, dict]]:
+    """Per task, the trainer and the structures its record trains."""
     layers = (LayerSpec(2, 6), LayerSpec(1, 6, residual=True), LayerSpec(2, 6, residual=True))
     settings = TrainSettings(learning_rate=0.02, batch_size=16)
     copy = TaskSpec("lagged_copy", sequence_length=24, train_size=48, val_size=24,
                     lag=3, num_symbols=4, seed=5)
     classifier = Trainer(generate(copy), NetworkSpec(4, layers, 4), settings, seed=5)
-    # one input channel, and a one-channel 1x1 middle layer: layer 0's and
-    # layer 2's forwards have Cin = 1, layer 1's input gradient has Cout = 1
+    classifier_structures = {
+        "1-1": DilationGenome((1, 1)), "2-4": DilationGenome((2, 4)),
+        "3-1": DilationGenome((3, 1)),
+        "parallel": ParallelStructure((ParallelLayer((1, 2, 3), (0.5, 0.3, 0.2)),
+                                       ParallelLayer((2,), (1.0,)))),
+    }
+    # one input channel, and a searched K = 2 middle layer with one channel:
+    # layer 0's and layer 2's forwards have Cin = 1, and layer 1's input
+    # gradient has Cout = 1 over two taps, plain and mixed
     ms = generate(TaskSpec("multiscale_sum", sequence_length=24, train_size=48,
                            val_size=24, windows=(2, 6), seed=6))
-    narrow = (LayerSpec(2, 6), LayerSpec(1, 1), LayerSpec(2, 6))
+    narrow = (LayerSpec(2, 6), LayerSpec(2, 1), LayerSpec(2, 6))
     one_channel = Trainer(ms, NetworkSpec(1, narrow, 4), settings, seed=6)
-    return {"lagged_copy": classifier, "multiscale_sum": one_channel}
+    one_channel_structures = {
+        "1-1-1": DilationGenome((1, 1, 1)), "2-2-4": DilationGenome((2, 2, 4)),
+        "3-2-1": DilationGenome((3, 2, 1)),
+        "parallel": ParallelStructure((ParallelLayer((1, 2, 3), (0.5, 0.3, 0.2)),
+                                       ParallelLayer((1, 2), (0.6, 0.4)),
+                                       ParallelLayer((2,), (1.0,)))),
+    }
+    return {"lagged_copy": (classifier, classifier_structures),
+            "multiscale_sum": (one_channel, one_channel_structures)}
 
 
 def trainer_losses() -> dict[str, str]:
     """SHA-256 of the repr of each run's fitness, train_loss and val_loss (and
     branch PMFs), per task and structure."""
-    parallel = ParallelStructure((ParallelLayer((1, 2, 3), (0.5, 0.3, 0.2)),
-                                  ParallelLayer((2,), (1.0,))))
     digests = {}
-    for task, trainer in _trainers().items():
+    for task, (trainer, structures) in _records().items():
         runs = {}
-        structures = {"1-1": DilationGenome((1, 1)), "2-4": DilationGenome((2, 4)),
-                      "3-1": DilationGenome((3, 1)), "parallel": parallel}
         for name, structure in structures.items():
             fitness, metrics, _ = trainer.train_structure(structure, 2, 11)
             runs[name] = (fitness, metrics["train_loss"], metrics["val_loss"])
         # kernels persist across trainings while the branch set changes
-        session = trainer.local_session(DilationGenome((2, 2)), LocalConfig())
+        searched = len(trainer.net_spec.searched_layer_indices())
+        session = trainer.local_session(DilationGenome((2,) * searched), LocalConfig())
         steps = []
         for branches in ({0: (1, 2, 3)}, {0: (2, 3), 1: (1, 2, 3)}):
             session.set_branches(branches)
