@@ -641,8 +641,8 @@ _INVALID_CONFIGS = [
     pytest.param("global", {"global": _GA, "task": {**_TASK, "seed": -1}}, id="task-seed-negative"),
     pytest.param("global", {"global": _GA, "task": {**_PIXELS, "permutation_seed": -1}},
                  id="permutation-seed-negative"),
-    # options with one value in use are constants now, so even that value is
-    # an unknown key
+    # settings with one value in use are constants, so even that value is an
+    # unknown key
     pytest.param("global", {"global": {**_GA, "mutation_mode": "uniform"}},
                  id="global-mutation-mode-key-unknown"),
     pytest.param("oracle",
