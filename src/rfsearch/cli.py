@@ -5,12 +5,15 @@ defaults and checks (``task`` -> ``TaskSpec``, with only the keys that
 ``TASK_KEYS`` names for its kind, ``network`` -> ``NetworkSpec``
 and ``LayerSpec``, ``training`` -> ``TrainSettings``, ``local`` ->
 ``LocalConfig``, ``surrogate`` -> ``SurrogateFitness``, the search keys of
-``global`` and ``oracle.ga`` -> ``GlobalConfig``).  JSON types are strict: a
-bool must be ``true``/``false``, an int must be neither a float nor a bool,
-and ``null`` is accepted only where the default is null.  Any invalid value
-is a config error, raised before a run directory or task data exists.  The
-``--init`` structure files (``best.json``, ``final_structure.json``) are read
-by the same rules into ``DilationGenome`` or ``ParallelStructure``.
+``global`` -> ``GlobalConfig``, ``oracle`` -> ``OracleConfig``).  Each
+setting has one home: ``oracle`` runs the search of the ``global`` section on
+the ``surrogate`` section's fitness, and no command-line flag overrides a
+key.  JSON types are strict: a bool must be ``true``/``false``, an int must
+be neither a float nor a bool, and ``null`` is accepted only where the
+default is null.  Any invalid value is a config error, raised before a run
+directory or task data exists.  The ``--init`` structure files
+(``best.json``, ``final_structure.json``) are read by the same rules into
+``DilationGenome`` or ``ParallelStructure``.
 
 All randomness flows from ``master_seed`` through named sub-streams (see
 ``seeding``).  Every run directory receives ``resolved_config.json``, the same
@@ -39,22 +42,9 @@ from pathlib import Path
 import numpy as np
 
 from . import seeding
-from .genome import (
-    DilationGenome,
-    SearchSpace,
-    build_space,
-    format_genome_string,
-    parse_genome_string,
-    random_genome,
-)
+from .genome import DilationGenome, build_space, format_genome_string, parse_genome_string
 from .globalsearch import GlobalConfig, run_global_search
-from .localsearch import (
-    PMF_KINDS,
-    LocalConfig,
-    ParallelStructure,
-    parallel_param_count,
-    run_local_search,
-)
+from .localsearch import LocalConfig, ParallelStructure, parallel_param_count, run_local_search
 from .network import NetworkSpec, Trainer, TrainSettings
 from .oracle import SurrogateFitness, random_search
 from .tasks import TASK_KEYS, TaskSpec, generate
@@ -74,8 +64,8 @@ class ConfigError(Exception):
 
 @dataclasses.dataclass(frozen=True)
 class _SpaceKeys:
-    """Search-space keys of the ``global`` and ``oracle`` sections; a null
-    ``max_dilation`` takes the command's default cap."""
+    """Search-space keys of the ``global`` section; a null ``max_dilation``
+    takes the command's default cap."""
 
     k: int = 2
     T: int = 10
@@ -84,23 +74,12 @@ class _SpaceKeys:
 
 @dataclasses.dataclass(frozen=True)
 class OracleConfig:
-    """The ``oracle`` section's own keys, plus the GA and surrogate they set.
-    Each seed runs the GA, then random search with the GA's budget.
+    """The ``oracle`` section.  Each of ``seeds`` seeds runs the ``global``
+    search on the ``surrogate`` fitness, then random search with its budget."""
 
-    A null ``target`` is drawn from the master seed at run time; until then
-    ``surrogate`` holds the all-ones genome as its target."""
-
-    length: int = 8
-    target: tuple[int, ...] | None = None
     seeds: int = 20
-    ga: GlobalConfig | None = None
-    surrogate: SurrogateFitness | None = None
 
     def __post_init__(self):
-        if self.length < 1:
-            raise ValueError("length must be >= 1")
-        if self.target is not None and len(self.target) != self.length:
-            raise ValueError(f"target has {len(self.target)} genes, length is {self.length}")
         if self.seeds < 1:
             raise ValueError("seeds must be >= 1")
 
@@ -205,14 +184,6 @@ def _object(value, where: str) -> dict:
     return dict(value)
 
 
-def _space(keys: _SpaceKeys, where: str, cap: int | None) -> SearchSpace:
-    if keys.max_dilation is not None:
-        cap = keys.max_dilation
-    elif cap is None:
-        cap = keys.k**keys.T
-    return _build(build_space, where, keys.k, keys.T, cap)
-
-
 def _read_task(section: dict) -> TaskSpec:
     """A task takes ``kind`` and the keys ``TASK_KEYS`` names for that kind."""
     kind = section.get("kind")
@@ -238,20 +209,12 @@ def _read_global(section: dict, task, network, surrogate) -> GlobalConfig:
         length, cap = len(network.searched_layer_indices()), task.sequence_length - 1
     else:
         raise ConfigError("global search needs a surrogate section, or task and network sections")
-    return _build(GlobalConfig, "global", space=_space(keys, "global", cap),
-                  genome_length=length, **search)
-
-
-def _read_oracle(section: dict) -> OracleConfig:
-    ga_section = _object(section.pop("ga", {}), "oracle.ga")
-    keys = _SpaceKeys(**_fields(section, _SpaceKeys, "oracle"))
-    fitness = _fields(section, SurrogateFitness, "oracle", skip=("target",))
-    oracle = _read(section, OracleConfig, "oracle", ga=None, surrogate=None)
-    ga = _read(ga_section, GlobalConfig, "oracle.ga", space=_space(keys, "oracle", None),
-               genome_length=oracle.length, epochs=1)
-    target = oracle.target if oracle.target is not None else (1,) * oracle.length
-    surrogate = _build(SurrogateFitness, "oracle", target, **fitness)
-    return dataclasses.replace(oracle, ga=ga, surrogate=surrogate)
+    if keys.max_dilation is not None:
+        cap = keys.max_dilation
+    elif cap is None:
+        cap = keys.k**keys.T
+    space = _build(build_space, "global", keys.k, keys.T, cap)
+    return _build(GlobalConfig, "global", space=space, genome_length=length, **search)
 
 
 def _json_file(path: Path, what: str) -> dict:
@@ -270,6 +233,8 @@ def load_config(path) -> ExperimentConfig:
     _no_leftovers(doc, "top level")
     if not sec.keys() & {"global", "local", "oracle"}:
         raise ConfigError("config needs at least one of: global, local, oracle")
+    if "oracle" in sec and not sec.keys() >= {"global", "surrogate"}:
+        raise ConfigError("an oracle section needs global and surrogate sections")
     task = _read_task(sec["task"]) if "task" in sec else None
     network = _read_network(sec["network"], task) if "network" in sec else None
     surrogate = (
@@ -290,7 +255,7 @@ def load_config(path) -> ExperimentConfig:
         ),
         local_cfg=local,
         surrogate=surrogate,
-        oracle_cfg=_read_oracle(sec["oracle"]) if "oracle" in sec else None,
+        oracle_cfg=_read(sec["oracle"], OracleConfig, "oracle") if "oracle" in sec else None,
     )
 
 
@@ -312,10 +277,6 @@ def _json_value(value):
     return value
 
 
-def _space_doc(space: SearchSpace) -> dict:
-    return _doc(_SpaceKeys(space.k, space.T, space.max_dilation_cap))
-
-
 def _resolved_config_doc(cfg: ExperimentConfig) -> dict:
     """``load_config`` run in reverse, with every default applied."""
     doc = _doc(cfg, skip=_SECTIONS.values())
@@ -330,22 +291,24 @@ def _resolved_config_doc(cfg: ExperimentConfig) -> dict:
     if cfg.local_cfg is not None:
         doc["local"] = _doc(cfg.local_cfg)
     if cfg.global_cfg is not None:
-        g = cfg.global_cfg
-        doc["global"] = {**_doc(g, skip=_GA_FIXED), **_space_doc(g.space)}
+        g, space = cfg.global_cfg, cfg.global_cfg.space
+        keys = _SpaceKeys(space.k, space.T, space.max_dilation_cap)
+        doc["global"] = {**_doc(g, skip=_GA_FIXED), **_doc(keys)}
     if cfg.oracle_cfg is not None:
-        o = cfg.oracle_cfg
-        doc["oracle"] = {
-            **_doc(o, skip=("ga", "surrogate")),
-            **_space_doc(o.ga.space),
-            **_doc(o.surrogate, skip=("target",)),
-            "ga": _doc(o.ga, skip=(*_GA_FIXED, "epochs")),
-        }
+        doc["oracle"] = _doc(cfg.oracle_cfg)
     return doc
 
 
 def _write_json(path: Path, doc) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _build_trainer(cfg: ExperimentConfig) -> Trainer:
@@ -419,15 +382,13 @@ def cmd_global(cfg: ExperimentConfig, jobs: int) -> int:
     return 0
 
 
-def cmd_local(cfg: ExperimentConfig, init: str, parallel: bool, pmf_kind: str | None) -> int:
+def cmd_local(cfg: ExperimentConfig, init: str, parallel: bool) -> int:
     if cfg.local_cfg is None:
         raise ConfigError("config has no 'local' section")
     lcfg = cfg.local_cfg
     if parallel:
         lcfg = dataclasses.replace(lcfg, finalize_parallel=True)
-    if pmf_kind is not None:
-        lcfg = dataclasses.replace(lcfg, pmf_kind=pmf_kind)
-    cfg = dataclasses.replace(cfg, local_cfg=lcfg)
+        cfg = dataclasses.replace(cfg, local_cfg=lcfg)
     trainer = _build_trainer(cfg)
     initial = _load_init(init, trainer.net_spec)
     if isinstance(initial, ParallelStructure):
@@ -435,21 +396,12 @@ def cmd_local(cfg: ExperimentConfig, init: str, parallel: bool, pmf_kind: str | 
     out = Path(cfg.output_dir)
     _write_json(out / "resolved_config.json", _resolved_config_doc(cfg))
     result, history = run_local_search(initial, lcfg, trainer, seed=cfg.master_seed)
-    with open(out / "local_trajectory.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "layer_index", "dilations", "alphas", "new_dilation",
-                         "rounding_offset"])
-        for row in history:
-            writer.writerow(
-                [
-                    row.iteration,
-                    row.layer_index,
-                    json.dumps(list(row.dilations)),
-                    json.dumps(list(row.alphas)),
-                    row.new_dilation,
-                    repr(row.offset),
-                ]
-            )
+    _write_csv(
+        out / "local_trajectory.csv",
+        ["iteration", "layer_index", "dilations", "alphas", "new_dilation", "rounding_offset"],
+        ([row.iteration, row.layer_index, json.dumps(list(row.dilations)),
+          json.dumps(list(row.alphas)), row.new_dilation, repr(row.offset)] for row in history),
+    )
     kernel_sizes = trainer.net_spec.searched_kernel_sizes()
     _write_json(out / "final_structure.json", _structure_doc(result, kernel_sizes))
     if isinstance(result, ParallelStructure):
@@ -461,10 +413,7 @@ def cmd_local(cfg: ExperimentConfig, init: str, parallel: bool, pmf_kind: str | 
     return 0
 
 
-def cmd_train(cfg: ExperimentConfig, init: str, epochs: int | None) -> int:
-    if epochs is not None:
-        training = _build(dataclasses.replace, "--epochs", cfg.training, final_epochs=epochs)
-        cfg = dataclasses.replace(cfg, training=training)
+def cmd_train(cfg: ExperimentConfig, init: str) -> int:
     trainer = _build_trainer(cfg)
     structure = _load_init(init, trainer.net_spec)
     n_epochs = cfg.training.final_epochs
@@ -489,39 +438,32 @@ def cmd_train(cfg: ExperimentConfig, init: str, epochs: int | None) -> int:
 def cmd_oracle(cfg: ExperimentConfig, jobs: int) -> int:
     if cfg.oracle_cfg is None:
         raise ConfigError("config has no 'oracle' section")
-    o = cfg.oracle_cfg
-    target = o.target
-    if target is None:
-        target = random_genome(
-            o.ga.space, o.length, seeding.derive_rng(cfg.master_seed, "oracle-target")
-        ).dilations
-    fitness = dataclasses.replace(o.surrogate, target=target)
-    budget = (1 + o.ga.iterations) * o.ga.population
+    ga, fitness, n_seeds = cfg.global_cfg, cfg.surrogate, cfg.oracle_cfg.seeds
+    budget = (1 + ga.iterations) * ga.population
     out = Path(cfg.output_dir)
     _write_json(out / "resolved_config.json", _resolved_config_doc(cfg))
     rows = []
-    finals: dict[str, list[float]] = {"ga": [], "random": []}
-    for s in range(o.seeds):
+    for s in range(n_seeds):
         seed = seeding.derive_seed(cfg.master_seed, "oracle-seed", s)
-        runs = {"ga": run_global_search(o.ga, fitness.as_trainer(), seed, jobs=jobs),
-                "random": random_search(o.ga.space, o.length, budget, fitness, seed)}
+        runs = {"ga": run_global_search(ga, fitness.as_trainer(), seed, jobs=jobs),
+                "random": random_search(ga.space, ga.genome_length, budget, fitness, seed)}
         for method, (_, trajectory) in runs.items():
-            for b, f in trajectory:
-                rows.append((b, f, s, method))
-            finals[method].append(trajectory[-1][1])
-    with open(out / "trajectory.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["budget", "running_best_fitness", "seed", "method"])
-        for b, f, s, method in rows:
-            writer.writerow([b, repr(f), s, method])
+            rows += [(b, f, s, method) for b, f in trajectory]
+    # running-best values per (method, budget), in seed order
+    groups: dict[tuple[str, int], list[float]] = {}
+    for b, f, _, method in rows:
+        groups.setdefault((method, b), []).append(f)
+    _write_csv(out / "trajectory.csv", ["budget", "running_best_fitness", "seed", "method"],
+               ([b, repr(f), s, method] for b, f, s, method in rows))
+    _write_csv(out / "report.csv", ["method", "budget", "mean", "std", "n"],
+               ([method, b, repr(float(np.mean(v))), repr(float(np.std(v))), len(v)]
+                for (method, b), v in sorted(groups.items())))
+    finals = {m: groups[(m, budget)] for m in ("ga", "random")}
     summary = {
-        "target": list(target),
+        "target": list(fitness.target),
         "budget": budget,
         "methods": {
-            m: {
-                "final_mean": float(np.mean(v)),
-                "final_std": float(np.std(v)),
-            }
+            m: {"final_mean": float(np.mean(v)), "final_std": float(np.std(v))}
             for m, v in finals.items()
         },
     }
@@ -529,56 +471,8 @@ def cmd_oracle(cfg: ExperimentConfig, jobs: int) -> int:
     for m, stats in summary["methods"].items():
         print(
             f"oracle {m}: final best {stats['final_mean']:.6g} "
-            f"+/- {stats['final_std']:.3g} over {o.seeds} seeds"
+            f"+/- {stats['final_std']:.3g} over {n_seeds} seeds ({out / 'report.csv'})"
         )
-    return 0
-
-
-def cmd_report(run_dir) -> int:
-    run_dir = Path(run_dir)
-    if not run_dir.is_dir():
-        raise ConfigError(f"run directory not found: {run_dir}")
-    groups: dict[tuple[str, int], list[float]] = {}
-    n_rows = 0
-    for csv_path in sorted(run_dir.glob("*.csv")):
-        with open(csv_path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["budget", "running_best_fitness", "seed", "method"]:
-                continue
-            for lineno, row in enumerate(reader, start=2):
-                try:
-                    budget = int(row[0])
-                    value = float(row[1])
-                    method = row[3]
-                except (ValueError, IndexError):
-                    print(
-                        f"warning: skipping malformed row {csv_path}:{lineno}: {row}",
-                        file=sys.stderr,
-                    )
-                    continue
-                groups.setdefault((method, budget), []).append(value)
-                n_rows += 1
-    if n_rows == 0:
-        raise ConfigError(f"no trajectory rows found under {run_dir}")
-    report_path = run_dir / "report.csv"
-    with open(report_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "budget", "mean", "std", "n"])
-        for (method, budget) in sorted(groups):
-            vals = np.asarray(groups[(method, budget)])
-            writer.writerow(
-                [method, budget, repr(float(vals.mean())), repr(float(vals.std())), vals.size]
-            )
-    methods = sorted({m for m, _ in groups})
-    print(f"{'method':<10} {'final budget':>12} {'mean':>14} {'std':>12} {'n':>4}")
-    for method in methods:
-        budget = max(b for m, b in groups if m == method)
-        vals = np.asarray(groups[(method, budget)])
-        print(
-            f"{method:<10} {budget:>12} {vals.mean():>14.6g} {vals.std():>12.4g} {vals.size:>4}"
-        )
-    print(f"wrote {report_path}")
     return 0
 
 
@@ -596,7 +490,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", required=True, help="experiment config (JSON)")
-        p.add_argument("--seed", type=int, default=None, help="override master_seed")
         p.add_argument(
             "--jobs", type=int, default=1,
             help="evaluation worker count (global and oracle; local and train take only 1)",
@@ -615,18 +508,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_local.add_argument(
         "--parallel", action="store_true", help="keep all branches of the final layers"
     )
-    p_local.add_argument("--pmf", default=None, choices=PMF_KINDS, help="branch PMF kind")
 
     p_train = sub.add_parser("train", help="train a fixed genome/structure and report metrics")
     add_common(p_train)
     p_train.add_argument("--init", default="baseline")
-    p_train.add_argument("--epochs", type=int, default=None)
 
     p_oracle = sub.add_parser("oracle", help="surrogate-fitness search comparisons")
     add_common(p_oracle)
-
-    p_report = sub.add_parser("report", help="aggregate trajectory CSVs of a run directory")
-    p_report.add_argument("run_dir")
     return parser
 
 
@@ -634,22 +522,18 @@ def main(argv=None) -> int:
     keep_heap()  # the commands train; a step's temporaries stay in the heap
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "report":
-            return cmd_report(args.run_dir)
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         if args.jobs != 1 and args.command in ("local", "train"):
             raise ConfigError(f"--jobs applies to global and oracle only; {args.command} runs "
                               f"serially, got --jobs {args.jobs}")
         cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg = _build(dataclasses.replace, "--seed", cfg, master_seed=args.seed)
         if args.command == "global":
             return cmd_global(cfg, jobs=args.jobs)
         if args.command == "local":
-            return cmd_local(cfg, init=args.init, parallel=args.parallel, pmf_kind=args.pmf)
+            return cmd_local(cfg, init=args.init, parallel=args.parallel)
         if args.command == "train":
-            return cmd_train(cfg, init=args.init, epochs=args.epochs)
+            return cmd_train(cfg, init=args.init)
         if args.command == "oracle":
             return cmd_oracle(cfg, jobs=args.jobs)
         raise ConfigError(f"unknown command {args.command!r}")

@@ -20,7 +20,7 @@ that count.  The tasks:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +53,7 @@ TASK_KINDS = tuple(TASK_KEYS)
 @dataclass(frozen=True)
 class TaskSpec:
     """One task.  Its kind's generator reads ``kind`` and the fields that
-    ``TASK_KEYS`` names, and a config may set no other."""
+    ``TASK_KEYS`` names; any other field must keep its default."""
 
     kind: str
     sequence_length: int = 256
@@ -70,11 +70,15 @@ class TaskSpec:
     def __post_init__(self):
         if self.kind not in TASK_KINDS:
             raise ValueError(f"unknown task kind {self.kind!r}")
+        object.__setattr__(self, "windows", tuple(int(w) for w in self.windows))
+        read = ("kind", *TASK_KEYS[self.kind])
+        for f in fields(self):
+            if f.name not in read and getattr(self, f.name) != f.default:
+                raise ValueError(f"a {self.kind} task does not read {f.name}")
         if self.sequence_length < 1 or self.train_size < 1 or self.val_size < 1:
             raise ValueError("sizes must be >= 1")
         if self.seed < 0 or self.permutation_seed < 0:
             raise ValueError("seed and permutation_seed must be >= 0")
-        object.__setattr__(self, "windows", tuple(int(w) for w in self.windows))
         if self.kind == "lagged_copy":
             if self.lag < 0:
                 raise ValueError("lag must be >= 0")

@@ -3,6 +3,7 @@ import csv
 import json
 import os
 import platform
+import re
 import shutil
 import subprocess
 import sys
@@ -43,6 +44,7 @@ def _surrogate_global_config(tmp_path, out_name="run", **overrides):
     return _write(tmp_path / "cfg.json", doc)
 
 
+_TRAINING = {"learning_rate": 0.02, "batch_size": 16, "final_epochs": 4}
 _TASK = {
     "kind": "lagged_copy",
     "sequence_length": 24,
@@ -62,7 +64,7 @@ def _task_config(tmp_path, out_name="run", **extra):
         "network": {
             "layers": [{"kernel_size": 2, "channels": 6}],
         },
-        "training": {"learning_rate": 0.02, "batch_size": 16, "final_epochs": 4},
+        "training": _TRAINING,
     }
     doc.update(extra)
     return _write(tmp_path / "task_cfg.json", doc)
@@ -144,26 +146,6 @@ class TestGlobalCommand:
         assert main(["global", "--config", _surrogate_global_config(tmp_path)]) == 0
         assert profiled == (tmp_path / "run" / "best.json").read_bytes()
 
-    def test_seed_override_changes_result_deterministically(self, tmp_path):
-        # --seed 11 searches exactly as a config with master_seed 11, and
-        # unlike the config's own master_seed 7
-        runs = {"flag": ({}, ["--seed", "11"]), "key": ({"master_seed": 11}, []), "own": ({}, [])}
-        searched = ("best.json", "trajectory.csv", "population_log.csv")
-        outputs = {}
-        for name, (overrides, flags) in runs.items():
-            cfg = _surrogate_global_config(tmp_path, name, **overrides)
-            assert main(["global", "--config", cfg, *flags]) == 0
-            files = _run_outputs(tmp_path / name)
-            outputs[name] = {f: files[f] for f in searched}
-        assert outputs["flag"] == outputs["key"]
-        for f in searched:
-            assert outputs["own"][f] != outputs["flag"][f]
-        genomes = {name: [row[2] for row in out["population_log.csv"]]
-                   for name, out in outputs.items()}
-        assert genomes["own"] != genomes["flag"]
-        resolved = json.loads((tmp_path / "flag" / "resolved_config.json").read_text())
-        assert resolved["master_seed"] == 11
-
     def test_config_without_global_section(self, tmp_path, capsys):
         path = _write(
             tmp_path / "c.json",
@@ -208,26 +190,15 @@ class TestLocalCommand:
             len(l["dilations"]) for l in structure["layers"]
         )
 
-    def test_pmf_flag_is_echoed_in_resolved_config(self, tmp_path):
+    def test_pmf_kind_is_echoed_in_resolved_config(self, tmp_path):
         cfg = _task_config(
             tmp_path,
-            local={"iterations": 1, "epochs_per_iteration": 1},
+            local={"iterations": 1, "epochs_per_iteration": 1, "pmf_kind": "softmax"},
         )
-        rc = main(["local", "--config", cfg, "--pmf", "softmax"])
+        rc = main(["local", "--config", cfg])
         assert rc == 0
         resolved = json.loads((tmp_path / "run" / "resolved_config.json").read_text())
         assert resolved["local"]["pmf_kind"] == "softmax"
-
-    def test_unknown_pmf_flag_exits_2(self, tmp_path, capsys):
-        cfg = _task_config(
-            tmp_path,
-            local={"iterations": 1, "epochs_per_iteration": 1},
-        )
-        with pytest.raises(SystemExit) as exc:
-            main(["local", "--config", cfg, "--pmf", "bogus"])
-        assert exc.value.code == 2
-        assert "--pmf" in capsys.readouterr().err
-        assert not (tmp_path / "run").exists()
 
     def test_genome_length_mismatch_exits_2(self, tmp_path, capsys):
         cfg = _task_config(
@@ -311,8 +282,8 @@ class TestLocalCommand:
 
 class TestTrainCommand:
     def test_train_reports_metrics(self, tmp_path):
-        cfg = _task_config(tmp_path, local={"iterations": 1, "epochs_per_iteration": 1})
-        rc = main(["train", "--config", cfg, "--init", "3", "--epochs", "3"])
+        cfg = _task_config(tmp_path, local=_LOCAL, training={**_TRAINING, "final_epochs": 3})
+        rc = main(["train", "--config", cfg, "--init", "3"])
         assert rc == 0
         doc = json.loads((tmp_path / "run" / "train_metrics.json").read_text())
         assert doc["epochs"] == 3
@@ -325,8 +296,8 @@ class TestTrainCommand:
         }
         spath = tmp_path / "structure.json"
         spath.write_text(json.dumps(structure))
-        cfg = _task_config(tmp_path, local={"iterations": 1, "epochs_per_iteration": 1})
-        rc = main(["train", "--config", cfg, "--init", str(spath), "--epochs", "2"])
+        cfg = _task_config(tmp_path, local=_LOCAL, training={**_TRAINING, "final_epochs": 2})
+        rc = main(["train", "--config", cfg, "--init", str(spath)])
         assert rc == 0
         doc = json.loads((tmp_path / "run" / "train_metrics.json").read_text())
         assert doc["structure"]["type"] == "parallel"
@@ -345,22 +316,44 @@ class TestTrainCommand:
         assert not (tmp_path / "run").exists()
 
 
-class TestOracleAndReport:
-    def test_oracle_writes_trajectories_and_summary(self, tmp_path):
-        cfg = _write(
-            tmp_path / "o.json",
-            {
-                "master_seed": 5,
-                "output_dir": str(tmp_path / "orun"),
-                "oracle": {
-                    "k": 2, "T": 3, "length": 3, "target": [1, 4, 2],
-                    "seeds": 3,
-                    "ga": {"population": 4, "iterations": 3, "p_m": 0.5, "p_s": 0.3},
-                },
-            },
-        )
-        rc = main(["oracle", "--config", cfg])
-        assert rc == 0
+def _oracle_config(tmp_path, seeds, target=(1, 4, 2), out_name="orun"):
+    return _write(tmp_path / "o.json", {
+        "master_seed": 5,
+        "output_dir": str(tmp_path / out_name),
+        "global": {"k": 2, "T": 3, "population": 4, "iterations": 3, "p_m": 0.5, "p_s": 0.3},
+        "surrogate": {"target": list(target)},
+        "oracle": {"seeds": seeds},
+    })
+
+
+def _report_from_trajectory(path: Path) -> dict:
+    """(method, budget) -> (mean, population std, n) of trajectory.csv's
+    running-best values, read and averaged in plain Python."""
+    groups: dict[tuple[str, int], list[float]] = {}
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            groups.setdefault((row["method"], int(row["budget"])), []).append(
+                float(row["running_best_fitness"]))
+    report = {}
+    for key, values in groups.items():
+        mean = sum(values) / len(values)
+        report[key] = (mean, (sum((v - mean) ** 2 for v in values) / len(values)) ** 0.5,
+                       len(values))
+    return report
+
+
+def _read_report(path: Path) -> dict:
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["method", "budget", "mean", "std", "n"]
+    keys = [(method, int(budget)) for method, budget, *_ in rows[1:]]
+    assert keys == sorted(keys)
+    return {(m, int(b)): (float(mean), float(std), int(n)) for m, b, mean, std, n in rows[1:]}
+
+
+class TestOracleCommand:
+    def test_oracle_writes_trajectories_report_and_summary(self, tmp_path):
+        assert main(["oracle", "--config", _oracle_config(tmp_path, seeds=3)]) == 0
         out = tmp_path / "orun"
         rows = (out / "trajectory.csv").read_text().strip().splitlines()
         assert rows[0] == "budget,running_best_fitness,seed,method"
@@ -368,59 +361,77 @@ class TestOracleAndReport:
         assert methods == {"ga", "random"}
         summary = json.loads((out / "summary.json").read_text())
         assert set(summary["methods"]) == {"ga", "random"}
+        assert summary["target"] == [1, 4, 2]
+        assert summary["budget"] == (1 + 3) * 4
 
-    def test_report_aggregates_and_single_seed_std_is_zero(self, tmp_path, capsys):
-        run = tmp_path / "r"
-        run.mkdir()
-        (run / "trajectory.csv").write_text(
-            "budget,running_best_fitness,seed,method\n"
-            "4,-3.0,0,ga\n8,-1.0,0,ga\n"
-        )
-        rc = main(["report", str(run)])
-        assert rc == 0
-        report = (run / "report.csv").read_text().strip().splitlines()
-        assert report[0] == "method,budget,mean,std,n"
-        for line in report[1:]:
-            assert line.split(",")[3] == "0.0"
+    @pytest.mark.parametrize("seeds", [1, 3])
+    def test_report_rows_recompute_from_the_trajectory(self, tmp_path, seeds):
+        assert main(["oracle", "--config", _oracle_config(tmp_path, seeds=seeds)]) == 0
+        out = tmp_path / "orun"
+        report = _read_report(out / "report.csv")
+        expected = _report_from_trajectory(out / "trajectory.csv")
+        assert report.keys() == expected.keys()
+        assert {m for m, _ in report} == {"ga", "random"}
+        for key, (mean, std, n) in report.items():
+            assert n == expected[key][2] == seeds
+            assert mean == pytest.approx(expected[key][0], rel=1e-12, abs=1e-12)
+            assert std == pytest.approx(expected[key][1], rel=1e-9, abs=1e-12)
+            if seeds == 1:
+                assert std == 0.0
+        # summary.json's final statistics are the report's rows at the budget
+        summary = json.loads((out / "summary.json").read_text())
+        for method, stats in summary["methods"].items():
+            mean, std, _ = report[(method, summary["budget"])]
+            assert (stats["final_mean"], stats["final_std"]) == (mean, std)
 
-    def test_report_skips_malformed_rows_with_warning(self, tmp_path, capsys):
-        run = tmp_path / "r"
-        run.mkdir()
-        (run / "trajectory.csv").write_text(
-            "budget,running_best_fitness,seed,method\n"
-            "4,-3.0,0,ga\nnot,a,row\n8,-1.0,0,ga\n"
-        )
-        rc = main(["report", str(run)])
-        captured = capsys.readouterr()
-        assert rc == 0
-        assert "malformed" in captured.err
-
-    def test_report_on_empty_dir_exits_2(self, tmp_path):
-        run = tmp_path / "empty"
-        run.mkdir()
-        assert main(["report", str(run)]) == 2
-
-    def test_report_over_oracle_run(self, tmp_path):
-        cfg = _write(
-            tmp_path / "o.json",
-            {
-                "master_seed": 2,
-                "output_dir": str(tmp_path / "orun"),
-                "oracle": {
-                    "k": 2, "T": 3, "length": 3, "target": [4, 1, 2], "seeds": 2,
-                    "ga": {"population": 4, "iterations": 3, "p_m": 0.5, "p_s": 0.3},
-                },
-            },
-        )
+    def test_one_config_runs_global_and_oracle(self, tmp_path):
+        # the oracle searches with the global section on the surrogate section
+        cfg = _oracle_config(tmp_path, seeds=2, target=(8, 1, 4))
+        assert main(["global", "--config", cfg]) == 0
+        out = tmp_path / "orun"
+        best = json.loads((out / "best.json").read_text())
+        with open(out / "trajectory.csv", newline="") as fh:
+            global_budgets = [int(row["budget"]) for row in csv.DictReader(fh)]
+        global_record = (out / "resolved_config.json").read_bytes()
+        assert len(best["dilations"]) == 3
         assert main(["oracle", "--config", cfg]) == 0
-        assert main(["report", str(tmp_path / "orun")]) == 0
-        report = (tmp_path / "orun" / "report.csv").read_text().splitlines()
-        assert report[0] == "method,budget,mean,std,n"
-        assert any(row.startswith("ga,") for row in report[1:])
-        assert any(row.startswith("random,") for row in report[1:])
+        assert (out / "resolved_config.json").read_bytes() == global_record
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["target"] == [8, 1, 4]
+        assert summary["budget"] == global_budgets[-1]
+        with open(out / "trajectory.csv", newline="") as fh:
+            ga_budgets = {int(row["budget"]) for row in csv.DictReader(fh)
+                          if row["method"] == "ga"}
+        assert ga_budgets == set(global_budgets)
 
-    def test_report_on_missing_dir_exits_2(self, tmp_path):
-        assert main(["report", str(tmp_path / "ghost")]) == 2
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["global", "--seed", "11"], id="seed"),
+        pytest.param(["train", "--init", "3", "--epochs", "2"], id="epochs"),
+        pytest.param(["local", "--pmf", "softmax"], id="pmf"),
+    ],
+)
+def test_deleted_flags_are_refused(tmp_path, capsys, argv):
+    # master_seed, training.final_epochs and local.pmf_kind are set in the
+    # config only
+    cfg = _task_config(tmp_path, **{"global": _GA, "local": _LOCAL})
+    command, *flags = argv
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, *flags])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flags[-2:])}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_report_command_is_gone(tmp_path, capsys):
+    # the oracle writes report.csv itself
+    assert main(["oracle", "--config", _oracle_config(tmp_path, seeds=1)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["report", str(tmp_path / "orun")])
+    assert exc.value.code == 2
+    assert "invalid choice: 'report'" in capsys.readouterr().err
 
 
 class TestRuntimeFailureExitCode:
@@ -482,10 +493,9 @@ def _run_outputs(out: Path) -> dict:
 
 _GA = {"iterations": 2, "population": 4, "epochs": 1, "k": 2, "T": 3}
 _LOCAL = {"iterations": 2, "epochs_per_iteration": 1}
-_ORACLE = {
-    "k": 2, "T": 3, "length": 3, "seeds": 2,
-    "ga": {"population": 4, "iterations": 2, "p_m": 0.5},
-}
+# the sections an oracle run reads
+_ORACLE = {"global": {**_GA, "p_m": 0.5}, "surrogate": {"target": [1, 4, 2]},
+           "oracle": {"seeds": 2}}
 _MULTISCALE = {"kind": "multiscale_sum", "sequence_length": 24, "train_size": 48,
                "val_size": 24, "windows": [2, 6], "seed": 1}
 # 4x6 images, read from the working directory: see _write_pixels
@@ -513,18 +523,19 @@ class TestResolvedConfigRoundTrip:
                 id="global-surrogate",
             ),
             pytest.param(
-                "local", {"local": _LOCAL}, ["--parallel", "--pmf", "softmax", "--seed", "11"],
-                [], id="local-parallel-softmax-seed",
+                "local", {"local": {**_LOCAL, "pmf_kind": "softmax"}, "master_seed": 11},
+                ["--parallel"], [], id="local-parallel-softmax-seed",
             ),
             pytest.param(
-                "train", {"local": _LOCAL}, ["--init", "3", "--epochs", "2"], ["--init", "3"],
-                id="train-genome",
+                "train", {"local": _LOCAL, "training": {**_TRAINING, "final_epochs": 2}},
+                ["--init", "3"],
+                ["--init", "3"], id="train-genome",
             ),
             pytest.param(
                 "train", {"local": _LOCAL}, ["--init", "structure.json"],
                 ["--init", "structure.json"], id="train-parallel-structure",
             ),
-            pytest.param("oracle", {"oracle": _ORACLE}, [], [], id="oracle"),
+            pytest.param("oracle", _ORACLE, [], [], id="oracle"),
             pytest.param("global", {"global": _GA, "task": _MULTISCALE}, [], [],
                          id="global-multiscale"),
             pytest.param("local", {"local": _LOCAL, "task": _PIXELS}, [], [],
@@ -559,10 +570,9 @@ class TestResolvedConfigRoundTrip:
         # local --parallel, then train into the same directory: each stage's
         # record reruns its own stage byte for byte
         out = tmp_path / "run"
-        cfg = _task_config(tmp_path, local=_LOCAL)
+        cfg = _task_config(tmp_path, local=_LOCAL, training={**_TRAINING, "final_epochs": 2})
         assert main(["local", "--config", cfg, "--parallel", "--init", "3"]) == 0
-        assert main(["train", "--config", cfg, "--init", str(out / "final_structure.json"),
-                     "--epochs", "2"]) == 0
+        assert main(["train", "--config", cfg, "--init", str(out / "final_structure.json")]) == 0
         structure = (out / "final_structure.json").read_bytes()
         metrics = (out / "train_metrics.json").read_bytes()
         assert json.loads(structure)["type"] == "parallel"
@@ -581,6 +591,37 @@ class TestResolvedConfigRoundTrip:
         assert (out / "train_metrics.json").read_bytes() == metrics
 
 
+def _oracle_with(section: str, **keys) -> dict:
+    return {**_ORACLE, section: {**_ORACLE[section], **keys}}
+
+
+# oracle configs, each with the reason it is refused.  The search and
+# surrogate keys live in the global and surrogate sections only, so the
+# oracle section's former keys are unknown there.
+_INVALID_ORACLE = {
+    "oracle-seeds-0": (_oracle_with("oracle", seeds=0), "oracle: seeds must be >= 1"),
+    "oracle-methods-bogus": (_oracle_with("oracle", methods=["ga", "bogus"]),
+                             "unknown config keys in oracle: ['methods']"),
+    "oracle-methods-key-unknown": (_oracle_with("oracle", methods=["ga", "random"]),
+                                   "unknown config keys in oracle: ['methods']"),
+    "oracle-global-population-1": (_oracle_with("global", population=1),
+                                   "global: population must be >= 2"),
+    "oracle-surrogate-decoy-length": (_oracle_with("surrogate", decoy=[1, 2]),
+                                      "decoy must be as long as the target"),
+    "oracle-k-key-unknown": (_oracle_with("oracle", k=2), "unknown config keys in oracle: ['k']"),
+    "oracle-target-key-unknown": (_oracle_with("oracle", target=[1, 4, 2]),
+                                  "unknown config keys in oracle: ['target']"),
+    "oracle-ga-key-unknown": (_oracle_with("oracle", ga={"population": 4}),
+                              "unknown config keys in oracle: ['ga']"),
+    "oracle-decoy-key-unknown": (_oracle_with("oracle", decoy=[8, 8, 1]),
+                                 "unknown config keys in oracle: ['decoy']"),
+    "oracle-without-surrogate": ({"global": _GA, "oracle": {"seeds": 2}},
+                                 "an oracle section needs global and surrogate sections"),
+    "oracle-without-global": ({"surrogate": {"target": [1, 4, 2]}, "oracle": {"seeds": 2}},
+                              "an oracle section needs global and surrogate sections"),
+}
+
+
 _INVALID_CONFIGS = [
     pytest.param("global", {"global": {**_GA, "population": 1}}, id="population-1"),
     pytest.param("global", {"global": {**_GA, "k": 1}}, id="k-1"),
@@ -595,16 +636,9 @@ _INVALID_CONFIGS = [
                  id="finalize-parallel-string"),
     pytest.param("global", {"global": {**_GA, "iterations": 2.9}}, id="iterations-float"),
     pytest.param("global", {"global": {**_GA, "iterations": None}}, id="iterations-null"),
-    pytest.param("oracle", {"oracle": {**_ORACLE, "seeds": 0}}, id="oracle-seeds-0"),
-    pytest.param("oracle", {"oracle": {**_ORACLE, "methods": ["ga", "bogus"]}},
-                 id="oracle-methods-bogus"),
-    pytest.param("oracle", {"oracle": {**_ORACLE, "ga": {"population": 1}}},
-                 id="oracle-ga-population-1"),
     pytest.param("global", {"global": {**_GA, "epochs": True}}, id="int-given-bool"),
     pytest.param("global", {"global": _GA, "training": {"learning_rate": float("nan")}},
                  id="learning-rate-nan"),
-    pytest.param("oracle", {"oracle": {**_ORACLE, "target": [1, 2]}},
-                 id="oracle-target-length"),
     pytest.param("global", {"surrogate": {"target": [0, 2]}, "global": _GA},
                  id="surrogate-target-0"),
     pytest.param("global", {"surrogate": {"target": [1, 2], "decoy": [4, 4],
@@ -645,12 +679,7 @@ _INVALID_CONFIGS = [
     # unknown key
     pytest.param("global", {"global": {**_GA, "mutation_mode": "uniform"}},
                  id="global-mutation-mode-key-unknown"),
-    pytest.param("oracle",
-                 {"oracle": {**_ORACLE, "ga": {**_ORACLE["ga"], "mutation_mode": "uniform"}}},
-                 id="oracle-ga-mutation-mode-key-unknown"),
     pytest.param("local", {"local": {**_LOCAL, "w_init": 1.0}}, id="local-w-init-key-unknown"),
-    pytest.param("oracle", {"oracle": {**_ORACLE, "methods": ["ga", "random"]}},
-                 id="oracle-methods-key-unknown"),
     # a task takes only its own kind's keys
     pytest.param("global", {"global": _GA, "task": {**_MULTISCALE, "lag": 12}},
                  id="multiscale-sum-lag-key"),
@@ -658,7 +687,16 @@ _INVALID_CONFIGS = [
                  id="permuted-pixels-seed-key"),
     pytest.param("global", {"global": _GA, "task": {**_TASK, "windows": [4, 32]}},
                  id="lagged-copy-windows-key"),
+    *(pytest.param("oracle", sections, id=name)
+      for name, (sections, _) in _INVALID_ORACLE.items()),
 ]
+
+
+@pytest.mark.parametrize("name", sorted(_INVALID_ORACLE))
+def test_invalid_oracle_config_names_its_own_reason(tmp_path, name):
+    sections, reason = _INVALID_ORACLE[name]
+    with pytest.raises(ConfigError, match=re.escape(reason)):
+        load_config(_task_config(tmp_path, **sections))
 
 
 @pytest.mark.parametrize("command, sections", _INVALID_CONFIGS)
@@ -674,13 +712,6 @@ def test_invalid_config_exits_2_before_any_output(
         load_config(cfg)
     assert main([command, "--config", cfg]) == 2
     assert capsys.readouterr().err.startswith("error: ")
-    assert not (tmp_path / "run").exists()
-
-
-def test_negative_seed_flag_exits_2_before_any_output(tmp_path, capsys):
-    cfg = _task_config(tmp_path, **{"global": _GA})
-    assert main(["global", "--config", cfg, "--seed", "-1"]) == 2
-    assert capsys.readouterr().err == "error: --seed: master_seed must be >= 0, got -1\n"
     assert not (tmp_path / "run").exists()
 
 
@@ -730,10 +761,11 @@ def test_written_structures_read_back_through_init(tmp_path, command, sections, 
     """``train --init`` of a structure file the CLI wrote trains that very
     structure: train_metrics.json records it as the file does."""
     network = {"layers": [{"kernel_size": 2, "channels": 4}] * 2}
-    cfg = _task_config(tmp_path, network=network, local=_LOCAL, **sections)
+    cfg = _task_config(tmp_path, network=network, local=_LOCAL,
+                       training={**_TRAINING, "final_epochs": 1}, **sections)
     assert main([command, "--config", cfg, *flags]) == 0
     path = tmp_path / "run" / written
-    assert main(["train", "--config", cfg, "--init", str(path), "--epochs", "1"]) == 0
+    assert main(["train", "--config", cfg, "--init", str(path)]) == 0
     recorded = json.loads(path.read_text())
     trained = json.loads((tmp_path / "run" / "train_metrics.json").read_text())["structure"]
     if written == "best.json":
@@ -746,7 +778,7 @@ def test_written_structures_read_back_through_init(tmp_path, command, sections, 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 @pytest.mark.parametrize(
     "command, sections",
-    [("global", {"global": _GA}), ("oracle", {"oracle": _ORACLE})],
+    [("global", {"global": _GA}), ("oracle", _ORACLE)],
     ids=["global", "oracle"],
 )
 def test_invalid_jobs_exits_2_before_any_output(tmp_path, capsys, command, sections, jobs):
@@ -756,13 +788,14 @@ def test_invalid_jobs_exits_2_before_any_output(tmp_path, capsys, command, secti
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("command, flags", [("local", []), ("train", ["--epochs", "1"])])
-def test_jobs_above_1_exits_2_for_serial_commands(tmp_path, capsys, command, flags):
-    cfg = _task_config(tmp_path, local={"iterations": 1, "epochs_per_iteration": 1})
-    assert main([command, "--config", cfg, *flags, "--jobs", "2"]) == 2
+@pytest.mark.parametrize("command", ["local", "train"])
+def test_jobs_above_1_exits_2_for_serial_commands(tmp_path, capsys, command):
+    cfg = _task_config(tmp_path, local={"iterations": 1, "epochs_per_iteration": 1},
+                       training={**_TRAINING, "final_epochs": 1})
+    assert main([command, "--config", cfg, "--jobs", "2"]) == 2
     assert "--jobs applies to global and oracle only" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
-    assert main([command, "--config", cfg, *flags, "--jobs", "1"]) == 0
+    assert main([command, "--config", cfg, "--jobs", "1"]) == 0
     assert (tmp_path / "run").exists()
 
 
@@ -780,19 +813,19 @@ def test_training_steps_do_not_fault_the_heap_back_in(tmp_path):
     """Steps after the first reuse the heap: at the local_parallel_multiscale
     shape, 4 more epochs (32 steps) add almost no page faults.  Without
     keep_heap glibc trims the heap after each step, about 430 faults a step."""
-    cfg = _write(tmp_path / "cfg.json", {
-        "master_seed": 5,
-        "output_dir": str(tmp_path / "run"),
-        "task": {"kind": "multiscale_sum", "sequence_length": 96, "train_size": 256,
-                 "val_size": 128, "windows": [4, 32], "seed": 1},
-        "network": {"layers": [{"kernel_size": 2, "channels": 16}] * 2},
-        "training": {"learning_rate": 0.02, "batch_size": 32},
-        "local": _LOCAL,
-    })
     src = str(Path(rfsearch.__file__).resolve().parent.parent)
 
     def faults(epochs: int) -> int:
-        argv = ["train", "--config", cfg, "--init", "4,28", "--epochs", str(epochs)]
+        cfg = _write(tmp_path / f"cfg{epochs}.json", {
+            "master_seed": 5,
+            "output_dir": str(tmp_path / "run"),
+            "task": {"kind": "multiscale_sum", "sequence_length": 96, "train_size": 256,
+                     "val_size": 128, "windows": [4, 32], "seed": 1},
+            "network": {"layers": [{"kernel_size": 2, "channels": 16}] * 2},
+            "training": {"learning_rate": 0.02, "batch_size": 32, "final_epochs": epochs},
+            "local": _LOCAL,
+        })
+        argv = ["train", "--config", cfg, "--init", "4,28"]
         out = subprocess.run(
             [sys.executable, "-c", _FAULT_PROBE, *argv], env={**os.environ, "PYTHONPATH": src},
             capture_output=True, text=True, check=True,
