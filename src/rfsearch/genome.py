@@ -68,15 +68,16 @@ def build_space(k: int, T: int, cap: int) -> SearchSpace:
     return SearchSpace(k=k, T=T, candidates=tuple(seen), max_dilation_cap=cap)
 
 
-def dilation_genes(values) -> tuple[int, ...]:
+def dilation_genes(values, name: str = "dilations") -> tuple[int, ...]:
     """``values`` as a tuple of Python ints.  Numpy integers convert; a bool
-    or any non-integer (a float, even 2.0) raises ValueError rather than
-    truncating to a different dilation.  Range checks are the caller's."""
+    or any non-integer (a float, even 2.0) raises ValueError, naming the
+    values ``name``, rather than truncating to a different value.  Range
+    checks are the caller's."""
     genes = tuple(values)
     if set(map(type, genes)) - {int}:  # only Python ints need no check
         if any(isinstance(g, (bool, np.bool_)) or not isinstance(g, (int, np.integer))
                for g in genes):
-            raise ValueError(f"dilations must be integers, got {genes!r}")
+            raise ValueError(f"{name} must be integers, got {genes!r}")
         genes = tuple(map(int, genes))
     return genes
 

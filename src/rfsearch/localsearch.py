@@ -303,6 +303,8 @@ class ParallelLayer:
             raise ValueError(f"dilations must be >= 1, got {self.dilations}")
         if not np.isfinite(self.alphas).all():
             raise ValueError(f"alphas must be finite, got {self.alphas}")
+        if not np.abs(self.alphas).sum() > 0.0:
+            raise ValueError(f"alphas must not all be zero, got {self.alphas}")
 
 
 @dataclass(frozen=True)

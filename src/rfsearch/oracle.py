@@ -25,32 +25,18 @@ class SurrogateFitness:
     """Deterministic fitness with a unique maximum at ``target``.
 
     fitness(g) = -sum_l (log2 g_l - log2 t_l)^2, maximized (at 0) exactly at
-    the target.  A given ``decoy`` adds a second, lower peak with a wider
-    basin there, to create a local optimum.
+    the target.
     """
 
     target: tuple[int, ...]
-    decoy: tuple[int, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "target", dilation_genes(self.target))
-        if self.decoy is not None:
-            object.__setattr__(self, "decoy", dilation_genes(self.decoy))
         if not self.target or min(self.target) < 1:
             raise ValueError(f"target must be a non-empty genome of dilations >= 1, "
                              f"got {self.target}")
-        if self.decoy is not None and (
-            len(self.decoy) != len(self.target) or min(self.decoy) < 1
-        ):
-            raise ValueError("decoy must be as long as the target, with dilations >= 1")
-        # log2 of the peaks, taken once; not fields, so not config keys
+        # log2 of the peak, taken once; not a field, so not a config key
         object.__setattr__(self, "_log_target", tuple(map(math.log2, self.target)))
-        if self.decoy is not None:
-            object.__setattr__(self, "_log_decoy", tuple(map(math.log2, self.decoy)))
-
-    @staticmethod
-    def _log_dist(dilations, log_reference) -> float:
-        return sum((math.log2(d) - lt) ** 2 for d, lt in zip(dilations, log_reference))
 
     def __call__(self, genome) -> float:
         dil = genome.dilations if isinstance(genome, DilationGenome) else tuple(genome)
@@ -58,10 +44,7 @@ class SurrogateFitness:
             raise ValueError(
                 f"genome length {len(dil)} does not match target length {len(self.target)}"
             )
-        value = -self._log_dist(dil, self._log_target)
-        if self.decoy is not None:
-            value = max(value, -0.25 - 0.25 * self._log_dist(dil, self._log_decoy))
-        return value
+        return -sum((math.log2(d) - lt) ** 2 for d, lt in zip(dil, self._log_target))
 
     def as_trainer(self) -> "SurrogateTrainer":
         """Adapt to the candidate-evaluation callback signature (picklable)."""

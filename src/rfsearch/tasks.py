@@ -12,20 +12,16 @@ that count.  The tasks:
 * multiscale_sum: classify the joint signs of running means over several
   window sizes at once; needs coverage of the largest window and rewards
   multi-scale taps.
-* permuted_pixels: optional sequence classification of IDX-format images
-  flattened with a fixed pixel permutation (label on the last frame only);
-  ``sequence_length`` is the pixel count of one image.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
 from . import seeding
+from .genome import dilation_genes
 
 __all__ = [
     "TASK_KINDS",
@@ -35,9 +31,7 @@ __all__ = [
     "generate",
     "gen_lagged_copy",
     "gen_multiscale_sum",
-    "gen_permuted_pixels",
     "framewise_accuracy",
-    "load_idx",
 ]
 
 _SIZES = ("sequence_length", "train_size", "val_size")
@@ -45,7 +39,6 @@ _SIZES = ("sequence_length", "train_size", "val_size")
 TASK_KEYS = {
     "lagged_copy": (*_SIZES, "seed", "num_symbols", "lag"),
     "multiscale_sum": (*_SIZES, "seed", "windows"),
-    "permuted_pixels": (*_SIZES, "images_path", "labels_path", "permutation_seed"),
 }
 TASK_KINDS = tuple(TASK_KEYS)
 
@@ -63,22 +56,19 @@ class TaskSpec:
     num_symbols: int = 8
     lag: int = 12
     windows: tuple[int, ...] = (4, 32)
-    images_path: str | None = None
-    labels_path: str | None = None
-    permutation_seed: int = 0
 
     def __post_init__(self):
         if self.kind not in TASK_KINDS:
             raise ValueError(f"unknown task kind {self.kind!r}")
-        object.__setattr__(self, "windows", tuple(int(w) for w in self.windows))
+        object.__setattr__(self, "windows", dilation_genes(self.windows, "windows"))
         read = ("kind", *TASK_KEYS[self.kind])
         for f in fields(self):
             if f.name not in read and getattr(self, f.name) != f.default:
                 raise ValueError(f"a {self.kind} task does not read {f.name}")
         if self.sequence_length < 1 or self.train_size < 1 or self.val_size < 1:
             raise ValueError("sizes must be >= 1")
-        if self.seed < 0 or self.permutation_seed < 0:
-            raise ValueError("seed and permutation_seed must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.kind == "lagged_copy":
             if self.lag < 0:
                 raise ValueError("lag must be >= 0")
@@ -95,9 +85,6 @@ class TaskSpec:
                 raise ValueError("windows must be strictly increasing")
             if max(self.windows) > self.sequence_length:
                 raise ValueError("largest window exceeds sequence_length")
-        elif self.kind == "permuted_pixels":
-            if self.images_path is None or self.labels_path is None:
-                raise ValueError("permuted_pixels needs images_path and labels_path")
 
     @property
     def in_channels(self) -> int:
@@ -107,18 +94,14 @@ class TaskSpec:
     def num_classes(self) -> int:
         if self.kind == "lagged_copy":
             return self.num_symbols
-        if self.kind == "multiscale_sum":
-            return 2 ** len(self.windows)
-        return 10
+        return 2 ** len(self.windows)
 
     @property
     def min_receptive_field(self) -> int:
         """Smallest causal receptive field that can solve the task exactly."""
         if self.kind == "lagged_copy":
             return self.lag + 1
-        if self.kind == "multiscale_sum":
-            return max(self.windows)
-        return self.sequence_length
+        return max(self.windows)
 
 
 @dataclass
@@ -137,9 +120,7 @@ def generate(spec: TaskSpec) -> TaskData:
     """Generate the task's train/val splits; bit-identical for equal specs."""
     if spec.kind == "lagged_copy":
         return gen_lagged_copy(spec)
-    if spec.kind == "multiscale_sum":
-        return gen_multiscale_sum(spec)
-    return gen_permuted_pixels(spec)
+    return gen_multiscale_sum(spec)
 
 
 def _splits(spec: TaskSpec, make) -> TaskData:
@@ -197,44 +178,6 @@ def gen_multiscale_sum(spec: TaskSpec) -> TaskData:
     return _splits(spec, make)
 
 
-def gen_permuted_pixels(spec: TaskSpec) -> TaskData:
-    """Images flattened to pixel sequences with a fixed random permutation;
-    the class label sits on the final frame only (single-label sequences)."""
-    if spec.kind != "permuted_pixels":
-        raise ValueError("spec kind mismatch")
-    images = load_idx(spec.images_path)
-    labels = load_idx(spec.labels_path)
-    if images.ndim != 3:
-        raise ValueError(f"expected (n, h, w) images, got shape {images.shape}")
-    if labels.ndim != 1 or labels.shape[0] != images.shape[0]:
-        raise ValueError("labels do not match images")
-    total = spec.train_size + spec.val_size
-    if images.shape[0] < total:
-        raise ValueError(
-            f"need {total} examples, file has {images.shape[0]}"
-        )
-    if labels.min() < 0 or labels.max() >= spec.num_classes:
-        raise ValueError(f"labels must lie in [0, {spec.num_classes}), got "
-                         f"[{labels.min()}, {labels.max()}]")
-    n, h, w = images.shape
-    T = h * w
-    if T != spec.sequence_length:
-        raise ValueError(f"{h}x{w} images flatten to {T} frames, "
-                         f"sequence_length is {spec.sequence_length}")
-    perm = seeding.derive_rng(spec.permutation_seed, "pixel-permutation").permutation(T)
-    flat = images.reshape(n, 1, T).astype(np.float64) / 255.0
-    flat = flat[:, :, perm]
-    y = np.zeros((n, T), dtype=np.int64)
-    y[:, -1] = labels.astype(np.int64)
-    mask = np.zeros((n, T), dtype=bool)
-    mask[:, -1] = True
-    tr = slice(0, spec.train_size)
-    va = slice(spec.train_size, total)
-    return TaskData(
-        flat[tr], y[tr], mask[tr], flat[va], y[va], mask[va], spec.num_classes, 1
-    )
-
-
 def framewise_accuracy(pred: np.ndarray, target: np.ndarray, mask=None) -> float:
     """Fraction of unmasked frames where argmax over channels hits the target."""
     pred = np.asarray(pred)
@@ -255,35 +198,3 @@ def framewise_accuracy(pred: np.ndarray, target: np.ndarray, mask=None) -> float
         raise ValueError("mask selects no frames")
     labels = pred.argmax(axis=1)
     return float((labels == target)[mask].mean())
-
-
-# --------------------------------------------------------------------------
-# IDX files (big-endian image/label containers)
-# --------------------------------------------------------------------------
-
-_IDX_DTYPES = {
-    0x08: np.dtype(">u1"),
-    0x09: np.dtype(">i1"),
-    0x0B: np.dtype(">i2"),
-    0x0C: np.dtype(">i4"),
-    0x0D: np.dtype(">f4"),
-    0x0E: np.dtype(">f8"),
-}
-
-
-def load_idx(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if len(raw) < 4 or raw[0] != 0 or raw[1] != 0:
-        raise ValueError(f"{path}: not an IDX file")
-    type_code, ndim = raw[2], raw[3]
-    if type_code not in _IDX_DTYPES:
-        raise ValueError(f"{path}: unknown IDX type code 0x{type_code:02x}")
-    header_end = 4 + 4 * ndim
-    dims = struct.unpack(f">{ndim}I", raw[4:header_end])
-    dtype = _IDX_DTYPES[type_code]
-    count = int(np.prod(dims)) if ndim else 0
-    data = np.frombuffer(raw, dtype=dtype, count=count, offset=header_end)
-    if data.size != count:
-        raise ValueError(f"{path}: truncated IDX payload")
-    return data.reshape(dims).astype(dtype.newbyteorder("="))
-

@@ -4,7 +4,6 @@ Everything here is deliberately naive (hand-unrolled loops, central
 differences) and shares no code with the library paths it checks.
 """
 
-import struct
 
 import numpy as np
 
@@ -128,12 +127,3 @@ def per_array_adam(params, grad_steps, lr, beta1=0.9, beta2=0.999, eps=1e-8):
             params[i] = params[i] - lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + eps)
     return params, m, v
 
-
-def write_idx(path, array):
-    """``array`` (uint8 or big-endian int32) as an IDX file."""
-    codes = {np.dtype("uint8"): 0x08, np.dtype(">i4"): 0x0C}
-    arr = np.asarray(array)
-    with open(path, "wb") as fh:
-        fh.write(bytes([0, 0, codes[arr.dtype], arr.ndim]))
-        fh.write(struct.pack(f">{arr.ndim}I", *arr.shape))
-        fh.write(arr.tobytes())

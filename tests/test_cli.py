@@ -9,11 +9,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import rfsearch
-from oracles import write_idx
 from rfsearch import cli, tensorops
 from rfsearch.cli import ConfigError, load_config, main
 from rfsearch.localsearch import expected_dilation
@@ -436,24 +434,14 @@ def test_report_command_is_gone(tmp_path, capsys):
 
 class TestRuntimeFailureExitCode:
     def test_runtime_failure_exits_3(self, tmp_path, capsys):
-        # config is well-formed but the task data file is absent at run time
-        doc = {
-            "master_seed": 0,
-            "output_dir": str(tmp_path / "run"),
-            "task": {
-                "kind": "permuted_pixels",
-                "train_size": 4, "val_size": 2,
-                "images_path": str(tmp_path / "ghost-images.idx"),
-                "labels_path": str(tmp_path / "ghost-labels.idx"),
-            },
-            "network": {"layers": [{"kernel_size": 2, "channels": 4}]},
-            "global": {"iterations": 1, "population": 2, "epochs": 1, "k": 2, "T": 2},
-        }
-        path = _write(tmp_path / "cfg.json", doc)
-        rc = main(["global", "--config", path])
+        # config is well-formed but its output directory is a regular file,
+        # which only creating the directory at run time finds out
+        (tmp_path / "run").write_text("not a directory")
+        rc = main(["global", "--config", _task_config(tmp_path, **{"global": _GA})])
         assert rc == 3
         err = capsys.readouterr().err
         assert "runtime failure" in err
+        assert "FileExistsError" in err
         assert "Traceback" in err
 
 
@@ -498,16 +486,6 @@ _ORACLE = {"global": {**_GA, "p_m": 0.5}, "surrogate": {"target": [1, 4, 2]},
            "oracle": {"seeds": 2}}
 _MULTISCALE = {"kind": "multiscale_sum", "sequence_length": 24, "train_size": 48,
                "val_size": 24, "windows": [2, 6], "seed": 1}
-# 4x6 images, read from the working directory: see _write_pixels
-_PIXELS = {"kind": "permuted_pixels", "sequence_length": 24, "train_size": 48,
-           "val_size": 24, "images_path": "images.idx", "labels_path": "labels.idx",
-           "permutation_seed": 2}
-
-
-def _write_pixels(directory: Path) -> None:
-    rng = np.random.default_rng(0)
-    write_idx(directory / "images.idx", rng.integers(0, 256, size=(72, 4, 6)).astype(np.uint8))
-    write_idx(directory / "labels.idx", rng.integers(0, 10, size=72).astype(">i4"))
 
 
 class TestResolvedConfigRoundTrip:
@@ -538,8 +516,8 @@ class TestResolvedConfigRoundTrip:
             pytest.param("oracle", _ORACLE, [], [], id="oracle"),
             pytest.param("global", {"global": _GA, "task": _MULTISCALE}, [], [],
                          id="global-multiscale"),
-            pytest.param("local", {"local": _LOCAL, "task": _PIXELS}, [], [],
-                         id="local-permuted-pixels"),
+            pytest.param("local", {"local": _LOCAL, "task": _MULTISCALE}, [], [],
+                         id="local-multiscale"),
         ],
     )
     def test_rerun_from_resolved_config(
@@ -551,7 +529,6 @@ class TestResolvedConfigRoundTrip:
             "type": "parallel",
             "layers": [{"dilations": [2, 3, 4], "alphas": [0.2, 0.5, 0.3]}],
         }))
-        _write_pixels(tmp_path)
         out = tmp_path / "run"
         record = "train_resolved_config.json" if command == "train" else "resolved_config.json"
         assert main([command, "--config", _task_config(tmp_path, **sections), *flags]) == 0
@@ -607,7 +584,7 @@ _INVALID_ORACLE = {
     "oracle-global-population-1": (_oracle_with("global", population=1),
                                    "global: population must be >= 2"),
     "oracle-surrogate-decoy-length": (_oracle_with("surrogate", decoy=[1, 2]),
-                                      "decoy must be as long as the target"),
+                                      "unknown config keys in surrogate: ['decoy']"),
     "oracle-k-key-unknown": (_oracle_with("oracle", k=2), "unknown config keys in oracle: ['k']"),
     "oracle-target-key-unknown": (_oracle_with("oracle", target=[1, 4, 2]),
                                   "unknown config keys in oracle: ['target']"),
@@ -641,9 +618,11 @@ _INVALID_CONFIGS = [
                  id="learning-rate-nan"),
     pytest.param("global", {"surrogate": {"target": [0, 2]}, "global": _GA},
                  id="surrogate-target-0"),
-    pytest.param("global", {"surrogate": {"target": [1, 2], "decoy": [4, 4],
-                                          "deceptive": True}, "global": _GA},
+    pytest.param("global", {"surrogate": {"target": [1, 2], "deceptive": True}, "global": _GA},
                  id="surrogate-deceptive-key"),
+    # the surrogate is a single peak, so its former second peak is an unknown key
+    pytest.param("global", {"surrogate": {"target": [1, 2], "decoy": [4, 4]}, "global": _GA},
+                 id="surrogate-decoy-key-unknown"),
     pytest.param(
         "global",
         {"global": _GA, "network": {"layers": [{"kernel_size": 2}], "padding_mode": "bogus"}},
@@ -671,10 +650,16 @@ _INVALID_CONFIGS = [
                  id="task-span-key-unknown"),
     pytest.param("global", {"global": _GA, "task": {**_TASK, "noise_level": 0.5}},
                  id="task-noise-level-key-unknown"),
+    pytest.param("global", {"global": _GA, "task": {**_TASK, "kind": "permuted_pixels"}},
+                 id="task-kind-permuted-pixels"),
+    pytest.param("global", {"global": _GA, "task": {**_TASK, "images_path": "images.idx"}},
+                 id="task-images-path-key-unknown"),
+    pytest.param("global", {"global": _GA, "task": {**_TASK, "labels_path": "labels.idx"}},
+                 id="task-labels-path-key-unknown"),
+    pytest.param("global", {"global": _GA, "task": {**_TASK, "permutation_seed": 2}},
+                 id="task-permutation-seed-key-unknown"),
     pytest.param("global", {"global": _GA, "master_seed": -1}, id="master-seed-negative"),
     pytest.param("global", {"global": _GA, "task": {**_TASK, "seed": -1}}, id="task-seed-negative"),
-    pytest.param("global", {"global": _GA, "task": {**_PIXELS, "permutation_seed": -1}},
-                 id="permutation-seed-negative"),
     # settings with one value in use are constants, so even that value is an
     # unknown key
     pytest.param("global", {"global": {**_GA, "mutation_mode": "uniform"}},
@@ -683,8 +668,6 @@ _INVALID_CONFIGS = [
     # a task takes only its own kind's keys
     pytest.param("global", {"global": _GA, "task": {**_MULTISCALE, "lag": 12}},
                  id="multiscale-sum-lag-key"),
-    pytest.param("global", {"global": _GA, "task": {**_PIXELS, "seed": 0}},
-                 id="permuted-pixels-seed-key"),
     pytest.param("global", {"global": _GA, "task": {**_TASK, "windows": [4, 32]}},
                  id="lagged-copy-windows-key"),
     *(pytest.param("oracle", sections, id=name)
@@ -726,6 +709,8 @@ _INVALID_INITS = [
     pytest.param({"type": "parallel", "layers": [{"dilations": [1, 2], "alphas": [True, 0.5]}]},
                  id="alpha-true"),
     pytest.param({"type": "parallel", "layers": [[1, 2]]}, id="layer-not-object"),
+    pytest.param({"type": "parallel", "layers": [{"dilations": [3, 4], "alphas": [0.0, 0.0]}]},
+                 id="alphas-all-zero"),
     pytest.param([2], id="not-an-object"),
     pytest.param(None, id="directory"),
 ]

@@ -22,30 +22,6 @@ class TestSurrogate:
         with pytest.raises(ValueError):
             SurrogateFitness(TARGET)(DilationGenome((1, 2)))
 
-    def test_deceptive_variant_has_local_optimum(self):
-        space = build_space(2, 6, 64)
-        f = SurrogateFitness((1, 1), decoy=(64, 64))
-        assert f((1, 1)) == 0.0
-        # the decoy beats every immediate grid neighbor but not the target
-        decoy_val = f((64, 64))
-        assert decoy_val < 0.0
-        assert decoy_val > f((32, 64))
-        assert decoy_val > f((64, 32))
-        assert f((1, 1)) > decoy_val
-        # wider basin: far from the target the decoy term dominates the blend
-        plain = SurrogateFitness((1, 1))
-        assert f((16, 16)) > plain((16, 16))
-
-    def test_invalid_decoy_rejected(self):
-        with pytest.raises(ValueError):
-            SurrogateFitness((1, 1), decoy=(4,))
-        with pytest.raises(ValueError):
-            SurrogateFitness((1, 1), decoy=(0, 4))
-        with pytest.raises(ValueError):
-            SurrogateFitness((1, 1), decoy=(4, 2.5))
-        with pytest.raises(TypeError):  # the decoy alone turns the blend on
-            SurrogateFitness((1, 1), deceptive=True, decoy=(4, 4))
-
     @pytest.mark.parametrize("target", [(2.5,), (4, True), (2.0, 1), ()])
     def test_invalid_target_rejected(self, target):
         with pytest.raises(ValueError):
