@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,29 @@ class TestSurrogate:
         assert ranked[0][0].dilations == TARGET
         assert ranked[0][1] == 0.0
         assert ranked[1][1] < 0.0
+
+    def test_fitness_is_minus_the_squared_log2_distance(self):
+        f = SurrogateFitness(TARGET)
+        assert f((16, 1, 2)) == -4.0
+        assert f((1, 4, 8)) == -12.0
+        assert f((8, 2, 1)) == -3.0
+
+    def test_single_peak_without_other_local_optima(self):
+        # from every other genome of the grid one step along one layer goes
+        # uphill, so a local search cannot stop short of the target
+        space = build_space(2, 6, 64)
+        f = SurrogateFitness((1, 64))
+        cands = space.candidates
+        for dil in itertools.product(cands, repeat=2):
+            if dil == f.target:
+                continue
+            neighbors = [
+                dil[:i] + (cands[j],) + dil[i + 1:]
+                for i, d in enumerate(dil)
+                for j in (cands.index(d) - 1, cands.index(d) + 1)
+                if 0 <= j < len(cands)
+            ]
+            assert max(f(n) for n in neighbors) > f(dil), dil
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -174,6 +174,48 @@ class TestMultiscaleSum:
         assert all(type(w) is int for w in spec.windows)
 
 
+_SMALL = {
+    "lagged_copy": dict(sequence_length=24, train_size=64, val_size=8, num_symbols=3, lag=4),
+    "multiscale_sum": dict(sequence_length=24, train_size=64, val_size=8, windows=(2, 5)),
+}
+
+
+class TestEveryKind:
+    """What each kind's spec promises about its data."""
+
+    @pytest.mark.parametrize("kind", ["bogus", "", "Lagged_Copy"])
+    def test_unknown_kind_rejected(self, kind):
+        # generate dispatches on the kinds TaskSpec admits, so a spec of any
+        # other kind must not exist
+        with pytest.raises(ValueError, match=f"unknown task kind '{kind}'"):
+            TaskSpec(kind=kind)
+
+    @pytest.mark.parametrize("kind", sorted(TASK_KEYS))
+    def test_data_has_the_spec_shapes_and_class_count(self, kind):
+        spec = TaskSpec(kind=kind, **_SMALL[kind])
+        data = generate(spec)
+        assert data.num_classes == spec.num_classes
+        assert data.in_channels == spec.in_channels
+        for x, y, mask, n in [(data.train_x, data.train_y, data.train_mask, spec.train_size),
+                              (data.val_x, data.val_y, data.val_mask, spec.val_size)]:
+            assert x.shape == (n, spec.in_channels, spec.sequence_length)
+            assert y.shape == mask.shape == (n, spec.sequence_length)
+            assert y.min() >= 0 and y.max() < spec.num_classes
+        # every class turns up among the counted training frames
+        assert set(np.unique(data.train_y[data.train_mask])) == set(range(spec.num_classes))
+
+    @pytest.mark.parametrize("kind", sorted(TASK_KEYS))
+    def test_mask_counts_the_frames_the_minimal_field_can_solve(self, kind):
+        # a causal field of min_receptive_field frames first sees a whole
+        # input window at frame min_receptive_field - 1
+        spec = TaskSpec(kind=kind, **_SMALL[kind])
+        data = generate(spec)
+        first = spec.min_receptive_field - 1
+        for mask in (data.train_mask, data.val_mask):
+            assert not mask[:, :first].any()
+            assert mask[:, first:].all()
+
+
 class TestFramewiseAccuracy:
     def test_perfect_one_hot(self):
         target = np.array([[0, 1, 2]])
