@@ -1,30 +1,39 @@
 """Hot inner loops for batched dilated 1-D convolution.
 
-Each kernel loops over the taps in Python and does the channel contraction
-of one tap with one ``np.matmul`` (BLAS) on the in-range time slice, in the
-native (batch, channel, time) layout.  Forward and input gradient add each
-tap's product into the output on contiguous memory only (``_ShiftedSum``),
-in the same order and with the same bits as a strided ``+=`` into a bias- or
-zero-filled output; their keyword-only ``out=`` adds the result into the
-caller's array instead.
+Forward and input gradient are one contraction (``_contract``): output frame
+``t`` is ``sum_j taps[j] @ v[..., t + offsets[j]]``, plus a bias if one is
+given, with zero padding outside ``[0, T)``.  The forward runs it on ``x``
+with ``w.transpose(2, 0, 1)`` and the bias.  The input gradient is the
+forward of the transposed kernel with the taps mirrored: it runs it on
+``grad_out`` with ``w.transpose(2, 1, 0)`` at offsets ``-offsets`` and no
+bias.  Both take a keyword-only ``out=`` that adds the result into the
+caller's array.
+
+With more than one channel on the contracted side, the contraction loops
+over the taps in Python and does one tap with one ``np.matmul`` (BLAS) on
+the in-range time slice, in the native (batch, channel, time) layout.  It
+adds each product on contiguous memory only, in the same order and with the
+same bits as a strided ``+=`` into a bias- or zero-filled output: the first
+product is written into a new array and the bias added next (b + p and
+p + b are the same bits), a product over every frame is one flat add, and
+any other is one flat add of a scratch array whose border is -0.0, the
+exact additive identity (x + -0.0 is x, for x = -0.0 too).  The strided
+per-tap matrix makes numpy copy it for every batch item, so the loop reads
+one contiguous copy of the tap stack.  A matrix-by-matrix product gives the
+same bits on either layout; a product with one output row or one frame takes
+numpy's vector path, whose bits depend on the layout, so there the strided
+view is kept.
 
 With one channel on the contracted side (forward with ``Cin = 1``, input
 gradient with ``Cout = 1``) a tap's product is an outer product, too thin for
-BLAS.  There the kernel stacks that channel once per tap, shifted by the
-tap's offset and zero outside the tap's range, into one (B, K, T) array; the
-forward appends a row of ones that carries the bias.  One ``np.matmul`` of
-the (C, K[+1]) matrix ``[w_0 ... w_{K-1} (b)]`` with that stack contracts
-every tap (``_stacked_taps``), and ``out=`` adds it in one flat add.  BLAS
-sums the products and the bias in its own order, starting from +0.0, so a
-frame that no tap reaches holds ``b + (+0.0)``: a -0.0 bias reads +0.0
-there, and no one-channel result is -0.0.
-
-The strided per-tap weight ``w[:, :, j]`` makes numpy copy it for every
-batch item, so forward and input gradient contract on one contiguous tap
-stack per call (``_taps``).  A matrix-by-matrix product gives the same bits
-on either layout; a product with one output row or one frame takes numpy's
-vector path, whose bits depend on the layout, so there the strided view is
-kept.
+BLAS.  There the contraction stacks that channel once per tap, shifted by
+the tap's offset and zero outside the tap's range, into one (B, K, T) array,
+with a last row of ones that carries the bias if there is one.  One
+``np.matmul`` of the (R, K[+1]) matrix ``[taps_0 ... taps_{K-1} (b)]`` with
+that stack contracts every tap (``_stacked_taps``), and ``out=`` adds it in
+one flat add.  BLAS sums the products and the bias in its own order,
+starting from +0.0, so a frame that no tap reaches holds ``b + (+0.0)``: a
+-0.0 bias reads +0.0 there, and no one-channel result is -0.0.
 
 Conventions: arrays are float64, layout (batch, channel, time) for sequences
 and (out_channel, in_channel, tap) for weights.  ``offsets[j]`` is the signed
@@ -49,51 +58,11 @@ def _check_out(out, shape):
         raise ValueError(f"out has shape {out.shape}, expected {shape}")
 
 
-class _ShiftedSum:
-    """A base plus tap products, each placed at its output range [lo, hi)
-    and summed in tap order, on contiguous memory: no strided add.
-
-    Into a new array, the first product is written in place and the base
-    added next (base + p and p + base are the same bits).  A product over
-    every frame is one flat add.  Any other is one flat add of a scratch
-    array whose border is -0.0, the exact additive identity (x + -0.0 is x,
-    for x = -0.0 too).  With ``out``, the base and every product are added
-    into the caller's array."""
-
-    def __init__(self, shape, base, out):
-        _check_out(out, shape)
-        self.shape, self.base = shape, base
-        # a new array's frames outside its first product, before the base
-        self.fill = 0.0 if base is None else -0.0
-        self.acc = self.scratch = None
-        if out is not None:
-            self._start(out)
-
-    def _start(self, acc):
-        if self.base is not None:
-            acc += self.base
-        self.acc = acc
-
-    def _place(self, dest, mat, src, lo, hi, fill):
-        np.matmul(mat, src, out=dest[:, :, lo:hi])
-        dest[:, :, :lo] = fill
-        dest[:, :, hi:] = fill
-        return dest
-
-    def add(self, mat, src, lo, hi):
-        if self.acc is None:
-            self._start(self._place(np.empty(self.shape), mat, src, lo, hi, self.fill))
-        elif hi - lo == self.shape[2]:
-            self.acc += mat @ src
-        else:
-            if self.scratch is None:
-                self.scratch = np.empty(self.shape)
-            self.acc += self._place(self.scratch, mat, src, lo, hi, -0.0)
-
-    def result(self):
-        if self.acc is None:  # every tap reads outside the input
-            self._start(np.full(self.shape, self.fill))
-        return self.acc
+def _place(dest, mat, src, lo, hi, fill):
+    np.matmul(mat, src, out=dest[:, :, lo:hi])
+    dest[:, :, :lo] = fill
+    dest[:, :, hi:] = fill
+    return dest
 
 
 def _stacked_taps(mat, v, shifts, ones, out):
@@ -103,7 +72,6 @@ def _stacked_taps(mat, v, shifts, ones, out):
     into ``out``, which is returned."""
     B, _, T = v.shape
     shape = (B, mat.shape[0], T)
-    _check_out(out, shape)
     # the product's array is made before the stack: the other order leaves a
     # hole in the heap that raised the peak RSS of a search
     prod = np.empty(shape)
@@ -125,54 +93,59 @@ def _stacked_taps(mat, v, shifts, ones, out):
     return out
 
 
-def _taps(w, axes):
-    """``w`` transposed to ``axes`` as one contiguous stack of per-tap
-    matrices, or None when each has one row (see the module docstring)."""
-    stack = w.transpose(axes)
-    return stack.copy() if stack.shape[1] > 1 else None
+def _contract(v, taps, b, offsets, out):
+    """``sum_j taps[j] @ v[..., t + offsets[j]]`` at frame t, zero out of
+    range, plus ``b`` unless it is None; ``taps`` is a (K, R, C) view of the
+    weights.  With ``out``, added into ``out``, which is returned."""
+    B, C, T = v.shape
+    K, R, _ = taps.shape
+    shape = (B, R, T)
+    _check_out(out, shape)
+    if C == 1:
+        cols = (taps[:, :, 0].T,) if b is None else (taps[:, :, 0].T, b[:, None])
+        mat = np.concatenate(cols, axis=1)
+        return _stacked_taps(mat, v, [int(o) for o in offsets], b is not None, out)
+    # b as a (R, T) plane: its add runs over B contiguous rows of R·T
+    base = None if b is None else np.repeat(b, T).reshape(R, T)
+    # a new array's frames outside its first product, before the base
+    fill = 0.0 if b is None else -0.0
+    stack = taps.copy() if R > 1 else None
+    acc, scratch = out, None
+    if acc is not None and base is not None:
+        acc += base
+    for j in range(K):
+        off = int(offsets[j])
+        lo, hi = max(0, -off), min(T, T - off)
+        if lo >= hi:
+            continue
+        tap = stack[j] if stack is not None and hi - lo > 1 else taps[j]
+        src = v[:, :, lo + off : hi + off]
+        if acc is None:
+            acc = _place(np.empty(shape), tap, src, lo, hi, fill)
+            if base is not None:
+                acc += base
+        elif hi - lo == T:
+            acc += tap @ src
+        else:
+            if scratch is None:
+                scratch = np.empty(shape)
+            acc += _place(scratch, tap, src, lo, hi, -0.0)
+    if acc is None:  # every tap reads outside the input
+        acc = np.empty(shape)
+        acc[:] = 0.0 if base is None else base
+    return acc
 
 
 def conv1d_forward(x, w, b, offsets, *, out=None):
     """conv(x, w) + b; with ``out``, added into ``out``, which is returned."""
-    B, Cin, T = x.shape
-    Cout, _, K = w.shape
-    if Cin == 1:
-        mat = np.concatenate((w[:, 0, :], b[:, None]), axis=1)
-        return _stacked_taps(mat, x, [int(o) for o in offsets], True, out)
-    # b as a (Cout, T) plane: its add runs over B contiguous rows of Cout·T
-    plane = np.repeat(b, T).reshape(Cout, T)
-    acc = _ShiftedSum((B, Cout, T), plane, out)
-    taps = _taps(w, (2, 0, 1))
-    for j in range(K):
-        off = int(offsets[j])
-        lo = max(0, -off)
-        hi = min(T, T - off)
-        if lo < hi:
-            tap = taps[j] if taps is not None and hi - lo > 1 else w[:, :, j]
-            acc.add(tap, x[:, :, lo + off : hi + off], lo, hi)
-    return acc.result()
+    return _contract(x, w.transpose(2, 0, 1), b, offsets, out)
 
 
 def conv1d_grad_input(grad_out, w, offsets, *, out=None):
-    """The input gradient of conv1d_forward; with ``out``, added into ``out``,
-    which is returned."""
-    B, Cout, T = grad_out.shape
-    Cin = w.shape[1]
-    K = offsets.shape[0]
-    if Cout == 1:
-        mat = np.ascontiguousarray(w[0])
-        return _stacked_taps(mat, grad_out, [-int(o) for o in offsets], False, out)
-    # matmul sums from +0.0, so a product is never -0.0 and needs no base
-    acc = _ShiftedSum((B, Cin, T), None, out)
-    taps = _taps(w, (2, 1, 0))
-    for j in range(K):
-        off = int(offsets[j])
-        lo = max(0, -off)
-        hi = min(T, T - off)
-        if lo < hi:
-            tap = taps[j] if taps is not None and hi - lo > 1 else w[:, :, j].T
-            acc.add(tap, grad_out[:, :, lo:hi], lo + off, hi + off)
-    return acc.result()
+    """The input gradient of conv1d_forward: the forward of the transposed
+    kernel at the negated offsets, without bias.  With ``out``, added into
+    ``out``, which is returned."""
+    return _contract(grad_out, w.transpose(2, 1, 0), None, -offsets, out)
 
 
 def conv1d_grad_weights(grad_out, x, kernel_size, offsets):

@@ -29,8 +29,6 @@ __all__ = [
     "TaskSpec",
     "TaskData",
     "generate",
-    "gen_lagged_copy",
-    "gen_multiscale_sum",
     "framewise_accuracy",
 ]
 
@@ -119,8 +117,8 @@ class TaskData:
 def generate(spec: TaskSpec) -> TaskData:
     """Generate the task's train/val splits; bit-identical for equal specs."""
     if spec.kind == "lagged_copy":
-        return gen_lagged_copy(spec)
-    return gen_multiscale_sum(spec)
+        return _gen_lagged_copy(spec)
+    return _gen_multiscale_sum(spec)
 
 
 def _splits(spec: TaskSpec, make) -> TaskData:
@@ -130,12 +128,9 @@ def _splits(spec: TaskSpec, make) -> TaskData:
     return TaskData(*train, *val, spec.num_classes, spec.in_channels)
 
 
-def gen_lagged_copy(spec: TaskSpec) -> TaskData:
+def _gen_lagged_copy(spec: TaskSpec) -> TaskData:
     """Inputs are one-hot i.i.d. symbols; target frame t is the symbol at
     t - lag.  The first ``lag`` frames are masked out of the loss."""
-    if spec.kind != "lagged_copy":
-        raise ValueError("spec kind mismatch")
-
     def make(rng, n):
         T, A = spec.sequence_length, spec.num_symbols
         sym = rng.integers(0, A, size=(n, T))
@@ -155,13 +150,10 @@ def gen_lagged_copy(spec: TaskSpec) -> TaskData:
     return _splits(spec, make)
 
 
-def gen_multiscale_sum(spec: TaskSpec) -> TaskData:
+def _gen_multiscale_sum(spec: TaskSpec) -> TaskData:
     """Gaussian inputs; the label at frame t encodes, as a bit per window,
     whether the running mean over that window is positive.  All windows must
     be read simultaneously, so distinct temporal scales all matter."""
-    if spec.kind != "multiscale_sum":
-        raise ValueError("spec kind mismatch")
-
     def make(rng, n):
         T = spec.sequence_length
         u = rng.standard_normal((n, 1, T))

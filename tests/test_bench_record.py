@@ -58,6 +58,8 @@ def test_quartiles_median_and_pair_wins():
     assert ref["change"]["median"] == 2.0
     assert ref["change"]["runs"] == [0.5, 2.5, 2.0, 4.0, 1.0]
     assert ref["pair_wins"] == {"change": 3, "parent": 1, "tie": 1}
+    # per-pair change/parent: 0.5, 1.25, 2/3, 1.0, 0.2
+    assert ref["pair_ratio"] == {"median": 2.0 / 3.0, "min": 0.2, "max": 1.25}
     assert ref["gated"] and not entry["metrics"]["wall_s"]["gated"]
     # every gated metric and the raw seconds are kept
     assert set(entry["metrics"]) == {"search_ref", "peak_rss_mb", "search_s", "wall_s",
@@ -74,6 +76,20 @@ def test_higher_is_better_metrics_count_wins_the_other_way():
     parent, change = _sides({1: 1.0, 2: 1.0}, {1: 2.0, 2: 0.5})
     wins = bench_record.fold(parent, change, bench)["workloads"]["ga_lagged_copy"]
     assert wins["metrics"]["search_ref"]["pair_wins"] == {"change": 1, "parent": 1, "tie": 0}
+
+
+def test_pair_ratio_leaves_out_pairs_whose_parent_is_zero():
+    assert bench_record.pair_ratio([2.0, 0.0, 4.0, 1.0], [1.0, 3.0, 6.0, 1.0]) == {
+        "median": 1.0, "min": 0.5, "max": 1.5}
+    assert bench_record.pair_ratio([0, 0], [0, 5]) is None
+    # a traced count that is 0 on both sides (no kernel call) has no ratio
+    t_parent, t_change = _sides({1: 0.0, 2: 0.0}, {1: 0.0, 2: 0.0}, trace=1)
+    for _, rec in t_parent + t_change:
+        rec["values"]["kernels.conv1d_forward.calls"]["value"] = 0
+    doc = bench_record.fold(t_parent, t_change, BENCHMARK)
+    calls = doc["traced"]["ga_lagged_copy"]["metrics"]["kernels.conv1d_forward.calls"]
+    assert calls["pair_ratio"] is None
+    assert json.loads(json.dumps(doc, allow_nan=False)) == doc
 
 
 def test_workloads_are_summarized_apart():

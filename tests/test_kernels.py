@@ -281,6 +281,9 @@ def test_kernels_match_naive_loops_on_arbitrary_offsets(case):
     acc = rng.standard_normal((B, Cout, T))
     expected += acc
     np.testing.assert_allclose(_kernels.conv1d_forward(x, w, b, offsets, out=acc), expected, **tol)
+    acc = rng.standard_normal((B, Cin, T))
+    expected_gx += acc
+    np.testing.assert_allclose(_kernels.conv1d_grad_input(go, w, offsets, out=acc), expected_gx, **tol)
 
 
 @pytest.mark.parametrize("frames", [1, 2, 3, 64])

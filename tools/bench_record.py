@@ -15,8 +15,10 @@ section holds the median and quartiles of every metric ``BENCHMARK.json``
 declares for its trace mode (``end_to_end`` or ``per_layer``), and, with
 tracing off, of the raw ``search_s``, ``wall_s`` and ``reference_s``: the
 gated ``*_ref`` metrics divide by ``reference_s``, so the raw seconds show
-which side moved.  It also counts, per metric, the pairs each side won, and
-keeps the provenance: each side's git commit, source digest and kernel
+which side moved.  Per metric it also counts the pairs each side won and
+gives the median, min and max of the per-pair change/parent ratio
+(``pair_ratio``; pairs whose parent value is 0 have no ratio, and a metric
+with no ratio at all gets ``null``).  It keeps the provenance: each side's git commit, source digest and kernel
 backend, and the numpy and BLAS build, Python version, CPU count and thread
 variables that both sides share.
 
@@ -114,9 +116,19 @@ def _metric_value(name: str, rec: dict, metric: str) -> float:
         raise ValueError(f"{name} has no value of {metric}") from None
 
 
+def pair_ratio(parent, change) -> dict | None:
+    """Median, min and max of change/parent over the pairs whose parent
+    value is not 0; None if there is no such pair."""
+    ratios = [c / p for p, c in zip(parent, change) if p != 0]
+    if not ratios:
+        return None
+    return {"median": statistics.median(ratios), "min": min(ratios), "max": max(ratios)}
+
+
 def _summarize(sides: dict, trace: int, metrics) -> dict:
     """Per workload: seeds, attempted/failed counts and each metric's
-    quartiles, runs and pair wins, over the pairs at one trace mode."""
+    quartiles, runs, pair wins and pair ratios, over the pairs at one trace
+    mode."""
     workloads = {}
     for workload in sorted({w for t, w, _ in sides["parent"] if t == trace}):
         seeds = sorted(s for t, w, s in sides["parent"] if (t, w) == (trace, workload))
@@ -141,6 +153,7 @@ def _summarize(sides: dict, trace: int, metrics) -> dict:
                 "gated": gated,
                 **{side: {**quartiles(values[side]), "runs": values[side]} for side in SIDES},
                 "pair_wins": wins,
+                "pair_ratio": pair_ratio(values["parent"], values["change"]),
             }
         workloads[workload] = entry
     return workloads
