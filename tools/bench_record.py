@@ -17,10 +17,10 @@ tracing off, of the raw ``search_s``, ``wall_s`` and ``reference_s``: the
 gated ``*_ref`` metrics divide by ``reference_s``, so the raw seconds show
 which side moved.  Per metric it also counts the pairs each side won and
 gives the median, min and max of the per-pair change/parent ratio
-(``pair_ratio``; pairs whose parent value is 0 have no ratio, and a metric
-with no ratio at all gets ``null``).  It keeps the provenance: each side's git commit, source digest and kernel
-backend, and the numpy and BLAS build, Python version, CPU count and thread
-variables that both sides share.
+(``pair_ratio``; a pair whose parent value is 0 has no ratio, and a metric
+with no ratio at all gets ``null``).  It keeps the provenance: each side's
+git commit, source digest and kernel backend, and the numpy and BLAS build,
+Python version, CPU count and thread variables that both sides share.
 
 ``--parent-tier1`` and ``--change-tier1`` name the saved output of one
 pytest run of the test suite on each side; its summary line gives the
