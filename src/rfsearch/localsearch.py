@@ -15,7 +15,7 @@ retained branch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,11 +23,13 @@ from . import _kernels, seeding
 from .genome import DilationGenome, dilation_genes
 from .tensorops import (
     ConvKernel,
+    ConvTape,
     DegenerateCoefficientsError,
     checked_grad_out,
     conv_tape,
     dilated_conv1d_backward,
     dilated_conv1d_forward,
+    tap_offsets,
 )
 
 __all__ = [
@@ -100,6 +102,26 @@ def pmf_backward(coefficients, kind: str, alpha: np.ndarray, grad_alpha: np.ndar
     raise ValueError(f"unknown pmf kind {kind!r}; expected one of {PMF_KINDS}")
 
 
+def _tap_union(kernel_size: int, dilations, padding_mode: str):
+    """The distinct tap offsets U of a multi-dilated layer, each owned by the
+    first branch that reads it, as ``(offsets, owned, incidence)``.  Branch i
+    owns ``offsets[owned[i]]``, which is empty when earlier branches read all
+    its offsets.  ``incidence`` is the (S, K * |U|) 0/1 matrix whose row i,
+    viewed as (K, |U|), marks the offset each tap j of branch i reads."""
+    index: dict[int, int] = {}
+    reads = []  # position in U of tap j of branch i, branch by branch
+    owned = []
+    for d in dilations:
+        start = len(index)
+        for o in tap_offsets(kernel_size, d, padding_mode):
+            reads.append(index.setdefault(int(o), len(index)))
+        owned.append(slice(start, len(index)))
+    incidence = np.zeros((len(reads), len(index)))
+    incidence[np.arange(len(reads)), reads] = 1.0
+    offsets = np.array(list(index), dtype=np.int64)
+    return offsets, tuple(owned), incidence.reshape(len(dilations), -1)
+
+
 @dataclass
 class MultiDilatedLayerState:
     """Shared kernel applied at several dilations, mixed by the coefficient PMF.
@@ -113,16 +135,22 @@ class MultiDilatedLayerState:
     coefficients: np.ndarray | None
     pmf_kind: str = "abs"
     padding_mode: str = "causal"
+    # _tap_union of a mixed layer: its tap offsets and the branch owning each
+    taps: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.dilations = dilation_genes(self.dilations)
         if self.coefficients is None:
             if len(self.dilations) != 1:
                 raise ValueError("a layer without coefficients has exactly one branch")
+            self.taps = None
         else:
             self.coefficients = np.asarray(self.coefficients, dtype=np.float64)
             if len(self.dilations) != self.coefficients.size:
                 raise ValueError("one coefficient per dilation branch is required")
+            self.taps = _tap_union(
+                self.kernel.kernel_size, self.dilations, self.padding_mode
+            )
         if self.pmf_kind not in PMF_KINDS:
             raise ValueError(f"unknown pmf kind {self.pmf_kind!r}")
 
@@ -132,72 +160,89 @@ class MultiDilatedLayerState:
 
 @dataclass
 class MultiDilatedTape:
+    """The conv tape: its input, and for a mixed layer the union offsets U.
+    A mixed layer also keeps alpha, the (K, |U|) mixing matrix ``mix`` with
+    ``mix[j, u] = sum of alpha_i over the branches whose tap j reads U[u]``,
+    and the mixed kernel ``w_eff = W @ mix`` (Cout, Cin, |U|)."""
+
     state: MultiDilatedLayerState
-    branch_tapes: list
-    alpha: np.ndarray | None
+    conv: ConvTape
+    alpha: np.ndarray | None = None
+    mix: np.ndarray | None = None
+    w_eff: np.ndarray | None = None
 
 
 def multi_dilated_forward(x: np.ndarray, state: MultiDilatedLayerState):
     """Weighted branch sum, sum_i alpha_i * conv(x, kernel, d_i); returns
-    (output, tape).  Branch i is the conv of the scaled kernel
-    (alpha_i W, alpha_i b), added into the one output array."""
+    (output, tape).
+
+    The branches share one kernel, so the sum is one conv over the union U
+    of their tap offsets with the mixed kernel
+    ``w_eff[:, :, u] = sum over the taps (i, j) at offset u of alpha_i W[:, :, j]``.
+    It runs as one conv call per branch over the offsets that branch owns,
+    with bias alpha_i b, added into the one output array: no offset is
+    contracted twice, and a branch that owns none adds only its bias."""
     if state.coefficients is None:  # frozen: the one branch, unscaled
         out, tape = dilated_conv1d_forward(
             x, state.kernel, state.dilations[0], state.padding_mode
         )
-        return out, MultiDilatedTape(state, [tape], None)
+        return out, MultiDilatedTape(state, tape)
     alpha = state.alpha()
     kernel = state.kernel
+    offsets, owned, incidence = state.taps
+    # checks x for every branch: the widest is the one a centered window
+    # can fail to fit
+    x = conv_tape(x, kernel, max(state.dilations), state.padding_mode).x
+    K = kernel.kernel_size
+    mix = (alpha @ incidence).reshape(K, -1)
+    w_eff = (kernel.weights.reshape(-1, K) @ mix).reshape(*kernel.weights.shape[:2], -1)
     out = None
-    tapes = []
-    for a, d in zip(alpha, state.dilations):
-        tape = conv_tape(x, kernel, d, state.padding_mode)
+    for a, span in zip(alpha, owned):
         out = _kernels.conv1d_forward(
-            tape.x, a * kernel.weights, a * kernel.bias, tape.offsets, out=out
+            x, w_eff[:, :, span], a * kernel.bias, offsets[span], out=out
         )
-        tapes.append(tape)
-    return out, MultiDilatedTape(state, tapes, alpha)
+    return out, MultiDilatedTape(state, ConvTape(x, kernel, offsets), alpha, mix, w_eff)
 
 
 def multi_dilated_backward(tape: MultiDilatedTape, grad_out: np.ndarray):
     """Exact adjoints: (grad_x, grad_weights, grad_bias, grad_coefficients);
     grad_coefficients is None for a frozen single branch.
 
-    Branch i's output is conv(x, W, d_i) + b, linear in (W, b), so
-    <grad_out, y_i> = <W, gw_i> + <b, gb> from the branch's own weight
-    gradient and the bias gradient gb = sum(grad_out): no branch output is
-    kept for the coefficient gradient.  The term <b, gb> is the same for
-    every branch and is left out, so grad_alpha is exact only up to a
-    constant that every branch shares.  That constant never reaches
-    grad_coefficients: pmf_backward subtracts <grad_alpha, alpha>, and
-    sum(alpha) = 1 for every PMF kind.
+    Each branch adds the input gradient of the mixed kernel at the offsets
+    it owns into one grad_x, and one conv1d_grad_weights call per branch
+    fills those offsets of the stack G (G_u is the weight gradient of a tap
+    at offset u).  Then grad_W[:, :, j] = sum_i alpha_i G_{o_ij}, with o_ij
+    the offset of tap j of branch i.
 
-    alpha folds into the shared kernel.  Each branch adds the input gradient
-    of the scaled kernel alpha_i W into one grad_x; the weight gradient is
-    sum_i alpha_i gw_i, one conv1d_grad_weights call per branch; gb is taken
-    once, and grad_bias is (sum_i alpha_i) gb.
+    Branch i's output is conv(x, W, d_i) + b, linear in (W, b), so
+    <grad_out, y_i> = sum_j <W[:, :, j], G_{o_ij}> + <b, gb> with the bias
+    gradient gb = sum(grad_out): no branch output is kept for the
+    coefficient gradient.  The term <b, gb> is the same for every branch and
+    is left out, so grad_alpha is exact only up to a constant that every
+    branch shares.  That constant never reaches grad_coefficients:
+    pmf_backward subtracts <grad_alpha, alpha>, and sum(alpha) = 1 for every
+    PMF kind.  gb is taken once, and grad_bias is (sum_i alpha_i) gb.
     """
     if tape.alpha is None:
-        return (*dilated_conv1d_backward(tape.branch_tapes[0], grad_out), None)
-    grad_out = checked_grad_out(tape.branch_tapes[0], grad_out)
-    kernel = tape.state.kernel
+        return (*dilated_conv1d_backward(tape.conv, grad_out), None)
+    grad_out = checked_grad_out(tape.conv, grad_out)
+    offsets, owned, incidence = tape.state.taps
+    x, w_eff = tape.conv.x, tape.w_eff
     gb = grad_out.sum(axis=(0, 2))
     grad_x = None
-    grad_w = None
-    grad_alpha = np.empty(len(tape.branch_tapes))
-    for i, (a, btape) in enumerate(zip(tape.alpha, tape.branch_tapes)):
+    stack = np.empty(w_eff.shape)
+    for span in owned:
         grad_x = _kernels.conv1d_grad_input(
-            grad_out, a * kernel.weights, btape.offsets, out=grad_x
+            grad_out, w_eff[:, :, span], offsets[span], out=grad_x
         )
-        gw = _kernels.conv1d_grad_weights(
-            grad_out, btape.x, kernel.kernel_size, btape.offsets
+        stack[:, :, span] = _kernels.conv1d_grad_weights(
+            grad_out, x, span.stop - span.start, offsets[span]
         )
-        grad_alpha[i] = float(np.vdot(kernel.weights, gw))
-        gw *= a
-        if grad_w is None:
-            grad_w = gw
-        else:
-            grad_w += gw
+    weights = tape.state.kernel.weights
+    K = weights.shape[2]
+    stack = stack.reshape(-1, stack.shape[2])
+    grad_w = (stack @ tape.mix.T).reshape(weights.shape)
+    grad_alpha = incidence @ (weights.reshape(-1, K).T @ stack).ravel()
     grad_b = float(tape.alpha.sum()) * gb
     grad_coeff = pmf_backward(
         tape.state.coefficients, tape.state.pmf_kind, tape.alpha, grad_alpha

@@ -163,6 +163,20 @@ class TestMultiDilatedForward:
         )
         assert max_rel_error(out, expected) < 1e-10
 
+    def test_centered_widest_window_must_fit(self, rng):
+        # (K - 1) * d < T holds for d = 3 and 4 but not for the widest, 5
+        x = rng.standard_normal((1, 2, 10))
+        state = MultiDilatedLayerState(
+            _kernel(rng, 2, 2, 3), (3, 4, 5), np.ones(3), padding_mode="centered"
+        )
+        with pytest.raises(ValueError, match="centered"):
+            multi_dilated_forward(x, state)
+
+    def test_input_channels_must_match_kernel(self, rng):
+        state = MultiDilatedLayerState(_kernel(rng, 2, 3, 2), (1, 2), np.ones(2))
+        with pytest.raises(ValueError, match="channels"):
+            multi_dilated_forward(rng.standard_normal((1, 2, 10)), state)
+
     def test_branch_count_must_match_coefficients(self, rng):
         k = _kernel(rng, 2, 2, 2)
         with pytest.raises(ValueError):
@@ -195,6 +209,85 @@ class TestFrozenSingleBranch:
         assert gc is None
         for got, ref in zip((gx, gw, gb), dilated_conv1d_backward(ref_tape, grad_out)):
             assert np.array_equal(got, ref)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """(kernel name, offsets) of every _kernels conv call, in call order."""
+    from rfsearch import _kernels
+
+    log = []
+    for name in ("conv1d_forward", "conv1d_grad_input", "conv1d_grad_weights"):
+
+        def traced(*args, _fn=getattr(_kernels, name), _name=name, **kwargs):
+            log.append((_name, [int(o) for o in args[-1]]))  # offsets come last
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(_kernels, name, traced)
+    return log
+
+
+def _calls_by_kernel(log):
+    calls = {}
+    for name, offsets in log:
+        calls.setdefault(name, []).append(offsets)
+    return calls
+
+
+class TestOwnedTapContraction:
+    """A mixed layer makes one call of each kernel per branch, and each call
+    contracts only the tap offsets its branch is the first to read."""
+
+    @pytest.mark.parametrize("mode, k, dils, union", [
+        ("causal", 2, (25, 28, 31), [-25, 0, -28, -31]),
+        ("centered", 3, (3, 4, 5), [-3, 0, 3, -4, 4, -5, 5]),
+    ])
+    def test_each_offset_is_contracted_once(self, rng, kernel_calls, mode, k, dils, union):
+        x = rng.standard_normal((2, 3, 40))
+        state = MultiDilatedLayerState(
+            _kernel(rng, 4, 3, k), dils, np.array([0.5, 1.0, 1.5]), padding_mode=mode
+        )
+        out, tape = multi_dilated_forward(x, state)
+        multi_dilated_backward(tape, rng.standard_normal(out.shape))
+        calls = _calls_by_kernel(kernel_calls)
+        assert sorted(calls) == ["conv1d_forward", "conv1d_grad_input", "conv1d_grad_weights"]
+        for offsets in calls.values():
+            assert len(offsets) == 3
+            # |U| taps in all: 4 instead of 6 causal, 7 instead of 9 centered
+            assert [o for branch in offsets for o in branch] == union
+        if mode == "causal":  # offset 0, read over every frame, only by branch 0
+            assert [0 in branch for branch in calls["conv1d_forward"]] == [True, False, False]
+
+    def test_frozen_layer_contracts_its_k_taps_once(self, rng, kernel_calls):
+        x = rng.standard_normal((2, 3, 20))
+        state = MultiDilatedLayerState(_kernel(rng, 4, 3, 3), (3,), None)
+        out, tape = multi_dilated_forward(x, state)
+        multi_dilated_backward(tape, rng.standard_normal(out.shape))
+        assert _calls_by_kernel(kernel_calls) == {
+            name: [[-6, -3, 0]]
+            for name in ("conv1d_forward", "conv1d_grad_input", "conv1d_grad_weights")
+        }
+
+    @pytest.mark.parametrize("k, dils, owned", [
+        (2, (4, 4), [[-4, 0], []]),
+        (3, (1, 4, 2), [[-2, -1, 0], [-8, -4], []]),
+    ])
+    def test_branch_that_owns_no_offset_still_adds_its_bias(self, kernel_calls, k, dils, owned):
+        rng = np.random.default_rng(43)
+        x = rng.standard_normal((2, 3, 20))
+        kernel = _kernel(rng, 4, 3, k)
+        w = rng.standard_normal(len(dils)) + 1.5
+        state = MultiDilatedLayerState(kernel, dils, w)
+        out, tape = multi_dilated_forward(x, state)
+        grad_out = rng.standard_normal(out.shape)
+        gc = multi_dilated_backward(tape, grad_out)[3]
+        for offsets in _calls_by_kernel(kernel_calls).values():
+            assert offsets == owned
+        branches = [naive_dilated_conv1d(x, kernel.weights, kernel.bias, d) for d in dils]
+        alpha = pmf(w)
+        assert max_rel_error(out, sum(a * y for a, y in zip(alpha, branches))) < 1e-10
+        g = np.array([np.vdot(grad_out, y) for y in branches])
+        np.testing.assert_allclose(gc, pmf_backward(w, "abs", alpha, g), rtol=1e-10)
 
 
 class TestMultiDilatedBackward:
@@ -254,7 +347,8 @@ class TestMultiDilatedBackward:
     def test_tape_holds_only_input_and_kernel_data(self, rng):
         x = rng.standard_normal((2, 3, 16))
         k = _kernel(rng, 4, 3, 2)
-        state = MultiDilatedLayerState(k, (1, 2, 3), np.array([0.5, 1.0, 1.5]))
+        dils = (1, 2, 3)
+        state = MultiDilatedLayerState(k, dils, np.array([0.5, 1.0, 1.5]))
         _, tape = multi_dilated_forward(x, state)
 
         def arrays(obj):
@@ -271,8 +365,10 @@ class TestMultiDilatedBackward:
         assert any(a is x for a in held)
         shared = (x, k.weights, k.bias, state.coefficients)
         for a in held:
-            # besides shared arrays, only per-branch alphas and per-tap offsets
-            assert any(a is s for s in shared) or (a.ndim == 1 and a.size <= 3), a.shape
+            # besides shared arrays, only kernel-sized data: alphas, offsets,
+            # the mixing matrix and the mixed kernel, over at most S * K taps;
+            # any (batch, channel, time) array here would be larger
+            assert any(a is s for s in shared) or a.size <= len(dils) * k.weights.size, a.shape
 
     @pytest.mark.parametrize("coefficients", [None, np.array([1.0, 2.0])])
     def test_wrong_grad_out_shape_rejected(self, rng, coefficients):
