@@ -129,6 +129,10 @@ def test_reads_pytest_summary_lines():
 
 
 @pytest.mark.parametrize("spoil, message", [
+    (lambda r: r.update(failed=1, problems=["rep 0 train: exit code 1"]),
+     r"c2 is a failed run .*failed: 1.*exit code 1"),
+    (lambda r: r.update(correct=False, problems=["declared metric x was not measured"]),
+     r"c2 is a failed run \(correct: False.*declared metric x"),
     (lambda r: r["provenance"].update(trace=1), "has no (parent|change) record"),
     (lambda r: r["provenance"].update(trace=2), "unknown trace mode"),
     (lambda r: r["provenance"].update(threads={"OPENBLAS_NUM_THREADS": "2"}),
@@ -177,3 +181,9 @@ def test_command_line_reads_directories_and_exits_2_on_refusal(tmp_path, capsys)
     (tmp_path / "change.log").write_text("interrupted\n")
     assert bench_record.main(argv + tier1) == 2
     assert "no pytest summary" in capsys.readouterr().err
+    # a failed run is refused by name, with its problems
+    failed = {**change[0][1], "failed": 1, "problems": ["rep 0 local: exit code 3"]}
+    (tmp_path / "change" / "c1.json").write_text(json.dumps(failed))
+    assert bench_record.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "c1.json is a failed run" in err and "exit code 3" in err

@@ -27,7 +27,9 @@ pytest run of the test suite on each side; its summary line gives the
 ``tier1`` section: the pass, failure, skip and error counts and the wall
 time pytest reports.
 
-The tool refuses (exit 2) records it cannot compare: a record without a pair,
+The tool refuses (exit 2) records it cannot compare: a failed run (``failed``
+above 0 or ``correct`` not true; the message gives its name and
+``problems``), a record without a pair,
 two records of one workload, seed and trace mode on one side, two code
 versions on one side, an unknown trace mode, and mixed thread settings,
 numpy/BLAS builds, Python versions or CPU counts; and a pytest log without a
@@ -83,6 +85,14 @@ def _check_shared(named_records) -> dict:
                                  f"{rec['provenance'].get(key)!r} vs "
                                  f"{first['provenance'].get(key)!r}")
     return {key: first["provenance"].get(key) for key in SHARED}
+
+
+def _check_clean(named_records) -> None:
+    for name, rec in named_records:
+        if rec.get("failed") or rec.get("correct") is not True:
+            raise ValueError(f"{name} is a failed run (correct: {rec.get('correct')}, "
+                             f"failed: {rec.get('failed')}); problems: "
+                             f"{rec.get('problems', [])}")
 
 
 def _side_provenance(side: str, named_records) -> dict:
@@ -165,6 +175,7 @@ def fold(parent, change, benchmark: dict, tier1: dict | None = None) -> dict:
     ``tier1``, if given, maps each side to its ``read_tier1`` summary."""
     if not parent or not change:
         raise ValueError("both sides need at least one record")
+    _check_clean(parent + change)
     shared = _check_shared(parent + change)
     sides = {"parent": _by_pair("parent", parent), "change": _by_pair("change", change)}
     for side, other in (("parent", "change"), ("change", "parent")):
