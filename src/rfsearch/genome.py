@@ -109,7 +109,6 @@ class EvalRecord:
     epochs_trained: int
     seed: int
     metrics: dict = field(default_factory=dict)
-    candidate_id: int = -1
     wall_time_s: float = 0.0
 
     def __post_init__(self):

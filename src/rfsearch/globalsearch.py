@@ -19,7 +19,6 @@ import itertools
 import math
 import os
 import time
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -185,34 +184,25 @@ class _Logs:
         self._traj.writerow(["budget", "running_best_fitness", "seed", "method"])
         self.seed = seed
         self._best_key = None
-        # genome strings of the survivors, the genomes a clone repeats
-        self._survivor_strings: dict[tuple[int, ...], str] = {}
+        self._rows = 0
 
-    def log_records(self, generation, records, survivors):
-        """Append ``records``; ``survivors`` is the population after them.
-
-        A genome string is formatted once while its genome survives, so
-        memory stays bounded by the population however many genomes the
-        search creates."""
-        strings = self._survivor_strings
-        rows = []
-        for r in records:
-            text = strings.get(r.genome.dilations)
-            if text is None:
-                text = strings[r.genome.dilations] = format_genome_string(r.genome)
-            rows.append([
+    def log_records(self, generation, records):
+        """Append one row per record, in order; ``candidate_id`` is the row's
+        index in the whole log."""
+        self._pop.writerows(
+            [
                 generation,
-                r.candidate_id,
-                text,
+                candidate_id,
+                format_genome_string(r.genome),
                 repr(r.fitness),
                 r.epochs_trained,
                 r.seed,
                 f"{r.wall_time_s:.6f}",
-            ])
-        self._pop.writerows(rows)
+            ]
+            for candidate_id, r in enumerate(records, start=self._rows)
+        )
         self._pop_file.flush()
-        self._survivor_strings = {r.genome.dilations: strings[r.genome.dilations]
-                                  for r in survivors}
+        self._rows += len(records)
 
     def log_checkpoint(self, budget, best_fitness):
         self._traj.writerow([budget, repr(best_fitness), self.seed, "ga"])
@@ -243,10 +233,6 @@ class _Logs:
         self._traj_file.close()
 
 
-def _survivor_key(record: EvalRecord):
-    return rank_key(record.genome, record.fitness) + (record.candidate_id,)
-
-
 def run_global_search(
     cfg: GlobalConfig,
     trainer,
@@ -259,8 +245,9 @@ def run_global_search(
     trajectory)``.
 
     ``members`` is the final population sorted by fitness descending (ties:
-    genome lexicographic order, then candidate id), so ``members[0]`` is the
-    best.  ``trajectory`` holds one (created_candidates, best_fitness)
+    genome lexicographic order), so ``members[0]`` is the best.  Candidates
+    with one genome share one record, which ``members`` may hold more than
+    once.  ``trajectory`` holds one (created_candidates, best_fitness)
     checkpoint per generation, generation 0 included: the rows of
     ``trajectory.csv`` when ``log_dir`` is given.
 
@@ -273,7 +260,6 @@ def run_global_search(
     rng_init = seeding.derive_rng(seed, "ga-init")
     rng_evolve = seeding.derive_rng(seed, "ga-evolve")
     cache: dict[tuple[int, ...], EvalRecord] = {}
-    ids = itertools.count()
     trajectory: list[tuple[int, float]] = []
     logs = _Logs(log_dir, seed, kernel_sizes) if log_dir is not None else None
     pool_executor = None
@@ -295,39 +281,26 @@ def run_global_search(
             fresh = map(evaluate, *args)
         for rec in fresh:
             cache[rec.genome.dilations] = rec
-        out = []
-        for g in genomes:
-            base = cache[g.dilations]
-            out.append(EvalRecord(
-                genome=g,
-                fitness=base.fitness,
-                epochs_trained=base.epochs_trained,
-                seed=base.seed,
-                metrics=dict(base.metrics),
-                candidate_id=next(ids),
-                wall_time_s=base.wall_time_s,
-            ))
-        return out
+        return [cache[g.dilations] for g in genomes]
 
-    def survivors(ranked, records):
-        """The best M of the (key, record) pairs ``ranked`` and ``records``,
-        as (key, record) pairs: a survivor's key is computed once."""
-        ranked = ranked + [(_survivor_key(r), r) for r in records]
-        return sorted(ranked, key=itemgetter(0))[:M]
+    def survivors(members, records):
+        """The best M of ``members`` then ``records``; the sort is stable, so
+        tied candidates keep the order they were made in."""
+        return sorted(members + records, key=lambda r: rank_key(r.genome, r.fitness))[:M]
 
     def checkpoint(generation, records, members):
         trajectory.append((M * (generation + 1), members[0].fitness))
         if logs:
-            logs.log_records(generation, records, members)
+            logs.log_records(generation, records)
             logs.log_checkpoint(*trajectory[-1])
             logs.log_best(members[0])
 
     try:
-        ranked = survivors([], eval_batch(
+        records = eval_batch(
             [random_genome(cfg.space, cfg.genome_length, rng_init) for _ in range(M)]
-        ))
-        members = [r for _, r in ranked]
-        checkpoint(0, members, members)
+        )
+        members = survivors([], records)
+        checkpoint(0, records, members)
 
         for generation in range(1, cfg.iterations + 1):
             probs = selection_probabilities([r.fitness for r in members])
@@ -343,10 +316,9 @@ def run_global_search(
             if M % 2 == 1:
                 offspring.append(members[parent_idx[M - 1]].genome)
             offspring = [mutate(g, cfg.space, cfg.p_m, cfg.p_s, rng_evolve) for g in offspring]
-            new_records = eval_batch(offspring)
-            ranked = survivors(ranked, new_records)
-            members = [r for _, r in ranked]
-            checkpoint(generation, new_records, members)
+            records = eval_batch(offspring)
+            members = survivors(members, records)
+            checkpoint(generation, records, members)
     finally:
         if pool_executor is not None:
             pool_executor.shutdown()

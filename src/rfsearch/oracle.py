@@ -98,6 +98,6 @@ def random_search(
         g = random_genome(space, length, rng)
         f = float(fitness(g))
         if best is None or rank_key(g, f) < rank_key(best.genome, best.fitness):
-            best = EvalRecord(g, f, epochs_trained=0, seed=seed, candidate_id=i - 1)
+            best = EvalRecord(g, f, epochs_trained=0, seed=seed)
         trajectory.append((i, best.fitness))
     return best, trajectory

@@ -300,26 +300,34 @@ class TestRunGlobalSearch:
         assert best["dilations"] == list(members[0].genome.dilations)
         assert (best["fitness"], best["seed"]) == (members[0].fitness, members[0].seed)
 
-    def test_population_log_formats_a_surviving_genome_once(self, tmp_path, monkeypatch):
-        # a clone of a survivor reuses the survivor's genome string; every row
-        # still holds its own record's genome
-        formatted = []
+    def test_population_log_numbers_candidates_in_evaluation_order(self, tmp_path, monkeypatch):
+        # the candidates of each generation, in the order they were made:
+        # random genomes at generation 0, mutated offspring after it
+        made = []
+
+        def recording(real):
+            def spy(*args):
+                made.append(real(*args))
+                return made[-1]
+            return spy
+
+        for name in ("random_genome", "mutate"):
+            monkeypatch.setattr(globalsearch, name, recording(getattr(globalsearch, name)))
         fmt = globalsearch.format_genome_string
-
-        def spy(genome):
-            formatted.append(genome.dilations)
-            return fmt(genome)
-
-        monkeypatch.setattr(globalsearch, "format_genome_string", spy)
-        cfg = _config(SPACE_3, 5, iterations=12, p_m=0.8, p_s=0.3)
+        cfg = _config(SPACE_3, 5, iterations=12, population=5, p_m=0.8, p_s=0.3)
         members, _ = run_global_search(cfg, SurrogateFitness((4, 1, 2, 2, 1)).as_trainer(), 2,
                                        log_dir=tmp_path)
         with open(tmp_path / "population_log.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
-        assert len(formatted) < len(rows)
-        assert {tuple(map(int, r["genome"].split(","))) for r in rows} == set(formatted)
-        by_id = {int(r["candidate_id"]): r["genome"] for r in rows}
-        assert all(by_id[m.candidate_id] == fmt(m.genome) for m in members)
+        assert len(rows) == len(made) == 5 * 13
+        assert [int(r["candidate_id"]) for r in rows] == list(range(len(rows)))
+        assert [int(r["generation"]) for r in rows] == [i // 5 for i in range(len(rows))]
+        assert [r["genome"] for r in rows] == [fmt(g) for g in made]
+        assert {fmt(m.genome) for m in members} <= {r["genome"] for r in rows}
+        # clones share one record: on the singleton space every member is one
+        cfg = _config(build_space(2, 0, 10), 3, iterations=3, population=4)
+        members, _ = run_global_search(cfg, SurrogateFitness((1, 1, 1)).as_trainer(), 0)
+        assert len(members) == 4 and all(m is members[0] for m in members)
 
     def test_best_json_is_replaced_only_when_the_best_changes(self, tmp_path, monkeypatch):
         offered, replaced = [], []
