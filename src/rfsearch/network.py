@@ -184,14 +184,14 @@ class DilatedNet:
     # -- parameters --------------------------------------------------------
 
     def parameters(self) -> list[np.ndarray]:
-        """Kernel weights and bias per layer, then the head's, then the
-        coefficients of each layer in branch mode."""
+        """Per layer its kernel weights and bias and, in branch mode, its
+        coefficients; then the head's weights and bias."""
         params = []
         for state in self.layers:
             params += [state.kernel.weights, state.kernel.bias]
-        params += [self.head_kernel.weights, self.head_kernel.bias]
-        params += [s.coefficients for s in self.layers if s.coefficients is not None]
-        return params
+            if state.coefficients is not None:
+                params.append(state.coefficients)
+        return params + [self.head_kernel.weights, self.head_kernel.bias]
 
     # -- forward / backward -------------------------------------------------
 
@@ -218,21 +218,18 @@ class DilatedNet:
             raise RuntimeError("backward requires a preceding forward(train=True)")
         tapes, head_tape = self._tapes
         g, gw_head, gb_head = dilated_conv1d_backward(head_tape, grad_logits)
-        layer_grads = []
+        grads = [gb_head, gw_head]  # built last to first, then reversed
         for (tape, a), lspec in zip(reversed(tapes), reversed(self.spec.layers)):
             # g is a fresh array; a residual layer still reads it for its skip
             g_z = relu_backward(a, g, out=None if lspec.residual else g)
             gx, gw, gb, gc = multi_dilated_backward(tape, g_z)
-            layer_grads.append((gw, gb, gc))
+            if gc is not None:
+                grads.append(gc)
+            grads += [gb, gw]
             if lspec.residual:  # gx is fresh too: the skip sum goes into it
                 gx += g
             g = gx
-        layer_grads.reverse()
-        grads = []
-        for gw, gb, _ in layer_grads:
-            grads += [gw, gb]
-        grads += [gw_head, gb_head]
-        grads += [gc for _, _, gc in layer_grads if gc is not None]
+        grads.reverse()
         self._tapes = None
         return grads
 

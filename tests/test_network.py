@@ -126,13 +126,12 @@ def _out_of_place_backward(net, grad_logits):
     the order of ``parameters()``."""
     tapes, head_tape = net._tapes
     g, gw_head, gb_head = dilated_conv1d_backward(head_tape, grad_logits)
-    layer_grads = []
+    grads = [gw_head, gb_head]
     for (tape, a), lspec in zip(reversed(tapes), reversed(net.spec.layers)):
         gx, gw, gb, gc = multi_dilated_backward(tape, relu_backward(a, g))
-        layer_grads.insert(0, (gw, gb, gc))
+        grads[:0] = [gw, gb] if gc is None else [gw, gb, gc]
         g = gx + g if lspec.residual else gx
-    grads = [p for gw, gb, _ in layer_grads for p in (gw, gb)] + [gw_head, gb_head]
-    return grads + [gc for _, _, gc in layer_grads if gc is not None]
+    return grads
 
 
 @pytest.mark.parametrize("branched", [False, True])
