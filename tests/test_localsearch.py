@@ -55,6 +55,17 @@ class TestSampleDilationSet:
         # delta=1, raw {9, 9.67, 10.33, 11} -> rounded {9, 10, 10, 11}
         assert got == (9, 10, 11)
 
+    @pytest.mark.parametrize("center, frac, count, want", [
+        # delta = round(1.5) = 2; raw {1, 2.33, 3.67, 5}
+        (3, 0.5, 4, (1, 2, 4, 5)),
+        # delta = 3; raw {7, 8.5, 10, 11.5, 13}: halves round to even
+        (10, 0.3, 5, (7, 8, 10, 12, 13)),
+        # delta = round(3.5) = 4; raw {3, 4.6, 6.2, 7.8, 9.4, 11}
+        (7, 0.5, 6, (3, 5, 6, 8, 9, 11)),
+    ])
+    def test_raw_values_round_to_nearest(self, center, frac, count, want):
+        assert sample_dilation_set(center, frac, count) == want
+
     def test_strictly_increasing(self):
         for center in (1, 5, 17, 64):
             got = sample_dilation_set(center, 0.2, 5)
