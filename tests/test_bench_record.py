@@ -117,6 +117,39 @@ def test_traced_records_fold_into_their_own_section():
     assert "workloads" not in only and only["traced"] == doc["traced"]
 
 
+@pytest.mark.parametrize("parent, change, better, want", [
+    # the median 30 % worse under a 25 % bound
+    ([1.0, 1.0, 1.0, 1.0], [1.3, 1.3, 1.3, 1.3], "lower", "worse"),
+    ([1.0, 1.0, 1.0, 1.0], [0.7, 0.7, 0.7, 0.7], "higher", "worse"),
+    # worse by 10 %, but both sides are narrow: inside the bound
+    ([1.0, 1.02, 0.98, 1.0], [1.1, 1.1, 1.1, 1.1], "lower", "within"),
+    ([1.0, 1.0, 1.0, 1.0], [1.3, 1.3, 1.3, 1.3], "higher", "within"),
+    # the parent's IQR (1.0) exceeds 25 % of its median (1.5), and one
+    # parent run (1.0) beats every change run
+    ([1.0, 1.0, 2.0, 2.0], [1.1, 1.1, 1.1, 1.1], "lower", "unresolved"),
+    # the change's IQR is wide, and it loses one pair
+    ([1.0, 1.0, 1.0, 1.0], [0.5, 0.5, 1.2, 1.2], "lower", "unresolved"),
+    # wide, but every change run beats every parent run
+    ([2.0, 2.0, 3.0, 3.0], [1.0, 1.5, 1.0, 1.5], "lower", "within"),
+    ([2.0, 2.0, 3.0, 3.0], [4.0, 5.0, 4.0, 5.0], "higher", "within"),
+])
+def test_verdict(parent, change, better, want):
+    assert bench_record.verdict(parent, change, better, 0.25) == want
+
+
+def test_each_bounded_metric_records_its_bound_and_verdict():
+    parent, change = _sides({1: 1.0, 2: 1.0, 3: 1.0}, {1: 1.3, 2: 1.3, 3: 1.3})
+    t_parent, t_change = _sides({1: 0.0}, {1: 0.0}, trace=1)
+    doc = bench_record.fold(parent + t_parent, change + t_change, BENCHMARK)
+    metrics = doc["workloads"]["ga_lagged_copy"]["metrics"]
+    assert (metrics["search_ref"]["bound"], metrics["search_ref"]["verdict"]) == (0.25, "worse")
+    assert (metrics["peak_rss_mb"]["bound"], metrics["peak_rss_mb"]["verdict"]) == (0.1, "within")
+    # raw seconds and traced metrics declare no bound, so they get no verdict
+    assert "verdict" not in metrics["search_s"]
+    calls = doc["traced"]["ga_lagged_copy"]["metrics"]["kernels.conv1d_forward.calls"]
+    assert "bound" not in calls and "verdict" not in calls
+
+
 def test_reads_pytest_summary_lines():
     log = "tests/test_a.py ....\n===== 528 passed, 5 warnings in 86.12s (0:01:26) =====\n"
     assert bench_record.read_tier1(log) == {

@@ -18,7 +18,12 @@ gated ``*_ref`` metrics divide by ``reference_s``, so the raw seconds show
 which side moved.  Per metric it also counts the pairs each side won and
 gives the median, min and max of the per-pair change/parent ratio
 (``pair_ratio``; a pair whose parent value is 0 has no ratio, and a metric
-with no ratio at all gets ``null``).  It keeps the provenance: each side's
+with no ratio at all gets ``null``).  A metric that ``BENCHMARK.json``
+gives a relative ``bound`` also records it and a ``verdict``: ``worse`` when
+the change's median is worse than the parent's by more than the bound,
+``unresolved`` when either side's interquartile range exceeds the bound
+times its median and not every change run beats every parent run, and
+``within`` otherwise.  It keeps the provenance: each side's
 git commit, source digest and kernel backend, and the numpy and BLAS build,
 Python version, CPU count and thread variables that both sides share.
 
@@ -135,6 +140,19 @@ def pair_ratio(parent, change) -> dict | None:
     return {"median": statistics.median(ratios), "min": min(ratios), "max": max(ratios)}
 
 
+def verdict(parent, change, better: str, bound: float) -> str:
+    """``worse``, ``unresolved`` or ``within``: the change's runs against the
+    parent's under a relative ``bound`` (see the module docstring)."""
+    sign = 1.0 if better == "lower" else -1.0
+    p, c = quartiles(parent), quartiles(change)
+    if sign * (c["median"] - p["median"]) > bound * abs(p["median"]):
+        return "worse"
+    wide = any(q["q3"] - q["q1"] > bound * abs(q["median"]) for q in (p, c))
+    if wide and max(sign * v for v in change) >= min(sign * v for v in parent):
+        return "unresolved"
+    return "within"
+
+
 def _summarize(sides: dict, trace: int, metrics) -> dict:
     """Per workload: seeds, attempted/failed counts and each metric's
     quartiles, runs, pair wins and pair ratios, over the pairs at one trace
@@ -149,7 +167,7 @@ def _summarize(sides: dict, trace: int, metrics) -> dict:
             "failed": {side: sum(r["failed"] for _, r in runs[side]) for side in SIDES},
             "metrics": {},
         }
-        for name, unit, better, gated in metrics:
+        for name, unit, better, gated, bound in metrics:
             values = {side: [_metric_value(n, r, name) for n, r in runs[side]]
                       for side in SIDES}
             sign = 1.0 if better == "lower" else -1.0
@@ -165,6 +183,10 @@ def _summarize(sides: dict, trace: int, metrics) -> dict:
                 "pair_wins": wins,
                 "pair_ratio": pair_ratio(values["parent"], values["change"]),
             }
+            if bound is not None:
+                entry["metrics"][name].update(
+                    bound=bound,
+                    verdict=verdict(values["parent"], values["change"], better, bound))
         workloads[workload] = entry
     return workloads
 
@@ -191,9 +213,10 @@ def fold(parent, change, benchmark: dict, tier1: dict | None = None) -> dict:
     }
     for trace in sorted({t for t, _, _ in sides["parent"]}):
         section, declared = SECTIONS[trace]
-        metrics = [(d["name"], d["unit"], d["better"], True) for d in benchmark[declared]]
+        metrics = [(d["name"], d["unit"], d["better"], True, d.get("bound"))
+                   for d in benchmark[declared]]
         if not trace:
-            metrics += [(name, "s", "lower", False) for name in RAW_SECONDS]
+            metrics += [(name, "s", "lower", False, None) for name in RAW_SECONDS]
         doc[section] = _summarize(sides, trace, metrics)
     if tier1 is not None:
         doc["tier1"] = {side: tier1[side] for side in SIDES}
