@@ -40,6 +40,7 @@ class SearchSpace:
     def __post_init__(self):
         if len(self.candidates) == 0:
             raise ValueError("candidate set is empty")
+        dilation_genes(self.candidates, "candidates")  # numpy integers are kept
         if self.candidates[0] != 1:
             raise ValueError("candidate set must start at 1")
         if any(b <= a for a, b in zip(self.candidates, self.candidates[1:])):
@@ -96,6 +97,15 @@ class DilationGenome:
         if min(dilations) < 1:
             raise ValueError(f"dilations must be >= 1, got {dilations}")
 
+    @classmethod
+    def _checked(cls, genes: tuple[int, ...]) -> DilationGenome:
+        """A genome of genes known to pass ``__post_init__`` already: a
+        non-empty tuple of Python ints >= 1, such as slices of checked
+        genomes or ``int()`` of a ``SearchSpace``'s candidates."""
+        genome = object.__new__(cls)
+        object.__setattr__(genome, "dilations", genes)
+        return genome
+
     def __len__(self) -> int:
         return len(self.dilations)
 
@@ -121,8 +131,9 @@ def random_genome(space: SearchSpace, length: int, rng: np.random.Generator) -> 
     """Each gene drawn independently and uniformly from the candidate set."""
     if length < 1:
         raise ValueError(f"genome length must be >= 1, got {length}")
-    idx = rng.integers(0, len(space.candidates), size=length)
-    return DilationGenome(tuple(space.candidates[i] for i in idx))
+    cands = space.candidates
+    idx = rng.integers(0, len(cands), size=length).tolist()
+    return DilationGenome._checked(tuple([int(cands[i]) for i in idx]))
 
 
 def receptive_field(genome: DilationGenome, kernel_sizes) -> int:

@@ -117,9 +117,10 @@ def crossover_segments(
         u, v = anchors
         if not (0 <= u <= v <= L):
             raise ValueError(f"anchors must satisfy 0 <= u <= v <= {L}")
+    # slices of two checked genomes need no second check
     child1 = da[:u] + db[u:v] + da[v:]
     child2 = db[:u] + da[u:v] + db[v:]
-    return DilationGenome(child1), DilationGenome(child2)
+    return DilationGenome._checked(child1), DilationGenome._checked(child2)
 
 
 def mutate(g: DilationGenome, space: SearchSpace, p_m: float, p_s: float,
@@ -136,8 +137,8 @@ def mutate(g: DilationGenome, space: SearchSpace, p_m: float, p_s: float,
     # all the gene draws come first, then one replacement draw per hit
     hits = [i for i, u in enumerate(rng.random(len(genes)).tolist()) if u < p_s]
     for i in hits:
-        genes[i] = cands[int(rng.integers(0, len(cands)))]
-    return DilationGenome(tuple(genes))
+        genes[i] = int(cands[int(rng.integers(0, len(cands)))])
+    return DilationGenome._checked(tuple(genes))
 
 
 def derive_eval_seed(master_seed: int, genome: DilationGenome) -> int:

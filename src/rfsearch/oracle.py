@@ -66,6 +66,8 @@ def rank_key(genome: DilationGenome, fitness: float):
 
 def exhaustive_rank(space: SearchSpace, length: int, fitness) -> list[tuple[DilationGenome, float]]:
     """Enumerate and rank every genome of the space (refuses > 1e6 genomes)."""
+    if length < 1:
+        raise ValueError(f"genome length must be >= 1, got {length}")
     total = len(space.candidates) ** length
     if total > 10**6:
         raise ValueError(
@@ -73,8 +75,8 @@ def exhaustive_rank(space: SearchSpace, length: int, fitness) -> list[tuple[Dila
             "exhaustive ranking is capped at 1e6"
         )
     ranked = []
-    for dil in itertools.product(space.candidates, repeat=length):
-        g = DilationGenome(dil)
+    for dil in itertools.product(map(int, space.candidates), repeat=length):
+        g = DilationGenome._checked(dil)
         ranked.append((g, float(fitness(g))))
     ranked.sort(key=lambda pair: rank_key(pair[0], pair[1]))
     return ranked

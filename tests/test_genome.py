@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from rfsearch.genome import (
     DilationGenome,
+    SearchSpace,
     build_space,
     format_genome_string,
     genome_to_json,
@@ -15,6 +17,7 @@ from rfsearch.genome import (
     receptive_field,
 )
 from rfsearch.globalsearch import crossover_segments, mutate
+from rfsearch.oracle import SurrogateFitness, exhaustive_rank
 
 
 class TestBuildSpace:
@@ -41,6 +44,16 @@ class TestBuildSpace:
             build_space(2, -1, 10)
         with pytest.raises(ValueError):
             build_space(2, 3, 0)
+
+    @pytest.mark.parametrize(
+        "candidates",
+        [(1, 2.0), (True, 2), (1, np.bool_(True)), (1, np.float64(4)), (1, "2"), (1, None)],
+        ids=["integral-float", "bool", "numpy-bool", "numpy-float", "string", "none"],
+    )
+    def test_rejects_bool_and_non_integer_candidates(self, candidates):
+        # the operators take int() of candidates unchecked: True would pass as 1
+        with pytest.raises(ValueError, match="candidates must be integers"):
+            SearchSpace(k=2, T=1, candidates=candidates, max_dilation_cap=4)
 
 
 class TestRandomGenome:
@@ -167,6 +180,51 @@ class TestGenesArePythonInts:
         g = random_genome(NUMPY_SPACE, 4, np.random.default_rng(3))
         assert json.loads(genome_to_json(g))["dilations"] == list(g.dilations)
         assert parse_genome_string(format_genome_string(g)) == g
+
+
+def _behaves_as_checked(genome):
+    """``genome`` equals, hashes, prints and pickles exactly as the genome
+    ``DilationGenome`` checks from the same genes, and holds Python ints."""
+    checked = DilationGenome(genome.dilations)
+    assert type(genome.dilations) is tuple and _plain_ints(genome)
+    for g in (genome, pickle.loads(pickle.dumps(genome))):
+        assert g == checked and hash(g) == hash(checked) and repr(g) == repr(checked)
+        assert type(g.dilations) is tuple and _plain_ints(g)
+    return True
+
+
+class TestOperatorGenomesMatchCheckedGenomes:
+    """The operators build genomes from checked genes without checking them
+    again; the result must be indistinguishable from a checked genome (the
+    ``--jobs N`` pool pickles them)."""
+
+    @pytest.mark.parametrize("space", [build_space(2, 4, 16), NUMPY_SPACE], ids=["int", "numpy"])
+    def test_random_genome(self, space):
+        rng = np.random.default_rng(4)
+        assert all(_behaves_as_checked(random_genome(space, 5, rng)) for _ in range(20))
+
+    def test_crossover_segments(self):
+        rng = np.random.default_rng(5)
+        a, b = DilationGenome((np.int64(1), 2, 4, 8)), DilationGenome((16, 1, 2, 4))
+        for anchors in [(0, 0), (0, 4), (1, 3), None, None]:
+            assert all(map(_behaves_as_checked, crossover_segments(a, b, rng, anchors)))
+
+    @pytest.mark.parametrize("space", [build_space(2, 4, 16), NUMPY_SPACE], ids=["int", "numpy"])
+    def test_mutate(self, space):
+        rng = np.random.default_rng(6)
+        g = DilationGenome((1, 2, 4, 8, 16))
+        children = [mutate(g, space, 1.0, 0.5, rng) for _ in range(20)]
+        assert all(map(_behaves_as_checked, children))
+        assert any(child != g for child in children)
+
+    def test_exhaustive_rank(self):
+        ranked = exhaustive_rank(NUMPY_SPACE, 2, SurrogateFitness((4, 1)))
+        assert len(ranked) == len(NUMPY_SPACE.candidates) ** 2
+        assert all(_behaves_as_checked(g) for g, _ in ranked)
+
+    def test_exhaustive_rank_refuses_empty_genomes(self):
+        with pytest.raises(ValueError, match="genome length must be >= 1"):
+            exhaustive_rank(NUMPY_SPACE, 0, SurrogateFitness((1,)))
 
 
 class TestSerialization:
