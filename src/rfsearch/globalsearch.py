@@ -177,8 +177,7 @@ class _Logs:
         self.dir.mkdir(parents=True, exist_ok=True)
         self.kernel_sizes = kernel_sizes
         self._pop_file = open(self.dir / "population_log.csv", "w", newline="")
-        self._pop = csv.writer(self._pop_file)
-        self._pop.writerow(
+        csv.writer(self._pop_file).writerow(
             ["generation", "candidate_id", "genome", "fitness", "epochs", "seed", "wall_time_s"]
         )
         self._traj_file = open(self.dir / "trajectory.csv", "w", newline="")
@@ -190,19 +189,17 @@ class _Logs:
 
     def log_records(self, generation, records):
         """Append one row per record, in order; ``candidate_id`` is the row's
-        index in the whole log."""
-        self._pop.writerows(
-            [
-                generation,
-                candidate_id,
-                format_genome_string(r.genome),
-                repr(r.fitness),
-                r.epochs_trained,
-                r.seed,
-                f"{r.wall_time_s:.6f}",
-            ]
-            for candidate_id, r in enumerate(records, start=self._rows)
-        )
+        index in the whole log.  Each row is the line ``csv.writer`` writes:
+        no field but the genome can hold a comma, the quote or a line break,
+        and the genome is quoted when it holds a comma (more than one gene)."""
+        rows = []
+        for candidate_id, r in enumerate(records, start=self._rows):
+            genome = format_genome_string(r.genome)
+            if "," in genome:
+                genome = f'"{genome}"'
+            rows.append(f"{generation},{candidate_id},{genome},{r.fitness!r},"
+                        f"{r.epochs_trained},{r.seed},{r.wall_time_s:.6f}\r\n")
+        self._pop_file.write("".join(rows))
         self._pop_file.flush()
         self._rows += len(records)
 

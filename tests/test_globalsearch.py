@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 from pathlib import Path
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfsearch import globalsearch
-from rfsearch.genome import DilationGenome, build_space
+from rfsearch.genome import DilationGenome, EvalRecord, build_space, format_genome_string
 from rfsearch.globalsearch import (
     GlobalConfig,
     crossover_segments,
@@ -336,6 +337,31 @@ class TestRunGlobalSearch:
         cfg = _config(build_space(2, 0, 10), 3, iterations=3, population=4)
         members, _ = run_global_search(cfg, SurrogateFitness((1, 1, 1)).as_trainer(), 0)
         assert len(members) == 4 and all(m is members[0] for m in members)
+
+    def test_population_log_rows_are_the_bytes_csv_writer_writes(self, tmp_path):
+        records = [
+            EvalRecord(DilationGenome((64,)), -0.25, 3, 2**64 - 1, wall_time_s=1.5),
+            EvalRecord(DilationGenome((1, 2, 4)), WORST_FITNESS, 1, 0, wall_time_s=0.0),
+            EvalRecord(DilationGenome((512, 1)), 1e-300, 12, 2**63 + 5, wall_time_s=12.3456789),
+            EvalRecord(DilationGenome((3,)), -0.0, 1, 7, wall_time_s=2e-7),
+        ]
+        logs = globalsearch._Logs(tmp_path, 9, None)
+        logs.log_records(0, records[:1])
+        logs.log_records(17, records[1:])
+        logs.close()
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(
+            ["generation", "candidate_id", "genome", "fitness", "epochs", "seed", "wall_time_s"])
+        for i, r in enumerate(records):
+            writer.writerow([0 if i == 0 else 17, i, format_genome_string(r.genome),
+                             repr(r.fitness), r.epochs_trained, r.seed,
+                             f"{r.wall_time_s:.6f}"])
+        written = (tmp_path / "population_log.csv").read_bytes()
+        assert written == expected.getvalue().encode()
+        # one gene unquoted, several quoted, the sentinel and 64-bit seeds whole
+        assert b'\r\n0,0,64,-0.25,3,18446744073709551615,1.500000\r\n' in written
+        assert b'\r\n17,1,"1,2,4",-1.7976931348623157e+308,1,0,0.000000\r\n' in written
 
     def test_best_json_is_replaced_only_when_the_best_changes(self, tmp_path, monkeypatch):
         offered, replaced = [], []
