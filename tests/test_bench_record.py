@@ -150,6 +150,46 @@ def test_each_bounded_metric_records_its_bound_and_verdict():
     assert "bound" not in calls and "verdict" not in calls
 
 
+_TEN = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]  # quartiles 1.225, 1.675
+
+
+@pytest.mark.parametrize("change, better, wins, met", [
+    # 10/10 pairs 0.5 lower; medians 1.45 and 0.95 differ by more than the IQR 0.45
+    ([v - 0.5 for v in _TEN], "lower", 10, True),
+    # 9/10 pairs won, one tie: still nine tenths of all pairs
+    ([v - 0.5 for v in _TEN[:9]] + [1.9], "lower", 9, True),
+    # 8/10 pairs won, although the medians differ by more than the IQR
+    ([v - 0.8 for v in _TEN[:8]] + [2.8, 2.9], "lower", 8, False),
+    # 10/10 pairs won, but the medians differ by 0.4, inside the IQR 0.45
+    ([v - 0.4 for v in _TEN], "lower", 10, False),
+    # the same runs read the other way round: every pair lost
+    ([v - 0.5 for v in _TEN], "higher", 0, False),
+    ([v + 0.5 for v in _TEN], "higher", 10, True),
+    ([v + 0.4 for v in _TEN], "higher", 10, False),
+])
+def test_claim_check(change, better, wins, met):
+    got = bench_record.claim_check(_TEN, change, better)
+    assert got["pair_wins"]["change"] == wins and got["met"] is met
+    assert got["pairs"] == 10 and got["better"] == better
+    assert got["parent_iqr"] == pytest.approx(0.45)
+    assert got["parent_median"] == pytest.approx(1.45)
+
+
+def test_claim_block_names_its_metric_and_refuses_unknown_names():
+    parent, change = _sides(dict(enumerate(_TEN)), {s: v - 0.5 for s, v in enumerate(_TEN)})
+    doc = bench_record.fold(parent, change, BENCHMARK, claim="ga_lagged_copy/search_ref")
+    claim = doc["claim"]
+    assert (claim["workload"], claim["metric"], claim["met"]) == ("ga_lagged_copy",
+                                                                 "search_ref", True)
+    assert claim["pair_wins"] == {"change": 10, "parent": 0, "tie": 0}
+    assert claim["change_median"] == pytest.approx(0.95)
+    assert "claim" not in bench_record.fold(parent, change, BENCHMARK)
+    for bad in ("surrogate_ga/search_ref", "ga_lagged_copy/nope", "search_ref",
+                "ga_lagged_copy/kernels.conv1d_forward.calls"):
+        with pytest.raises(ValueError, match="names no workload/metric"):
+            bench_record.fold(parent, change, BENCHMARK, claim=bad)
+
+
 def test_reads_pytest_summary_lines():
     log = "tests/test_a.py ....\n===== 528 passed, 5 warnings in 86.12s (0:01:26) =====\n"
     assert bench_record.read_tier1(log) == {
@@ -214,6 +254,13 @@ def test_command_line_reads_directories_and_exits_2_on_refusal(tmp_path, capsys)
     (tmp_path / "change.log").write_text("interrupted\n")
     assert bench_record.main(argv + tier1) == 2
     assert "no pytest summary" in capsys.readouterr().err
+    # a claim adds its block; an unknown one is refused
+    assert bench_record.main(argv + ["--claim", "ga_lagged_copy/search_ref"]) == 0
+    claim = json.loads(out.read_text())["claim"]
+    # both pairs won, but the medians differ by 0.5, not more than the IQR 0.5
+    assert claim["pair_wins"]["change"] == 2 and claim["met"] is False
+    assert bench_record.main(argv + ["--claim", "ga_lagged_copy/wall"]) == 2
+    assert "names no workload/metric" in capsys.readouterr().err
     # a failed run is refused by name, with its problems
     failed = {**change[0][1], "failed": 1, "problems": ["rep 0 local: exit code 3"]}
     (tmp_path / "change" / "c1.json").write_text(json.dumps(failed))

@@ -2,7 +2,8 @@
 
     python3 tools/bench_record.py --parent PARENT/.perfbench/results \\
         --change CHANGE/.perfbench/results --out BENCH_<n>.json \\
-        [--parent-tier1 PARENT_PYTEST.log --change-tier1 CHANGE_PYTEST.log]
+        [--parent-tier1 PARENT_PYTEST.log --change-tier1 CHANGE_PYTEST.log] \\
+        [--claim WORKLOAD/METRIC]
 
 Each path is a result record that ``perfbench/run.py`` wrote, or a directory
 of them.  A parent record and a change record of the same workload, seed and
@@ -26,6 +27,12 @@ times its median and not every change run beats every parent run, and
 ``within`` otherwise.  It keeps the provenance: each side's
 git commit, source digest and kernel backend, and the numpy and BLAS build,
 Python version, CPU count and thread variables that both sides share.
+
+``--claim WORKLOAD/METRIC`` checks a claimed gain on one metric of the
+runs with tracing off and adds a ``claim`` block: the pairs each side won
+(ties count for neither), both medians, the parent's interquartile range,
+and ``met``, true when the change won at least nine tenths of all pairs and
+its median is better than the parent's by more than that range.
 
 ``--parent-tier1`` and ``--change-tier1`` name the saved output of one
 pytest run of the test suite on each side; its summary line gives the
@@ -140,6 +147,31 @@ def pair_ratio(parent, change) -> dict | None:
     return {"median": statistics.median(ratios), "min": min(ratios), "max": max(ratios)}
 
 
+def pair_wins(parent, change, better: str) -> dict:
+    """Pairs won by each side in the ``better`` direction, and ties."""
+    sign = 1.0 if better == "lower" else -1.0
+    wins = {"change": 0, "parent": 0, "tie": 0}
+    for p, c in zip(parent, change):
+        diff = sign * (c - p)
+        wins["change" if diff < 0 else "parent" if diff > 0 else "tie"] += 1
+    return wins
+
+
+def claim_check(parent, change, better: str) -> dict:
+    """Whether the change's runs show a gain over the parent's: it wins at
+    least nine tenths of all pairs (ties count for neither), and the medians
+    differ in the ``better`` direction by more than the parent's
+    interquartile range."""
+    sign = 1.0 if better == "lower" else -1.0
+    wins = pair_wins(parent, change, better)
+    p, c = quartiles(parent), quartiles(change)
+    iqr = p["q3"] - p["q1"]
+    met = 10 * wins["change"] >= 9 * len(parent) and sign * (p["median"] - c["median"]) > iqr
+    return {"better": better, "pairs": len(parent), "pair_wins": wins,
+            "parent_median": p["median"], "change_median": c["median"],
+            "parent_iqr": iqr, "met": met}
+
+
 def verdict(parent, change, better: str, bound: float) -> str:
     """``worse``, ``unresolved`` or ``within``: the change's runs against the
     parent's under a relative ``bound`` (see the module docstring)."""
@@ -170,17 +202,12 @@ def _summarize(sides: dict, trace: int, metrics) -> dict:
         for name, unit, better, gated, bound in metrics:
             values = {side: [_metric_value(n, r, name) for n, r in runs[side]]
                       for side in SIDES}
-            sign = 1.0 if better == "lower" else -1.0
-            wins = {"change": 0, "parent": 0, "tie": 0}
-            for p, c in zip(values["parent"], values["change"]):
-                diff = sign * (c - p)
-                wins["change" if diff < 0 else "parent" if diff > 0 else "tie"] += 1
             entry["metrics"][name] = {
                 "unit": unit,
                 "better": better,
                 "gated": gated,
                 **{side: {**quartiles(values[side]), "runs": values[side]} for side in SIDES},
-                "pair_wins": wins,
+                "pair_wins": pair_wins(values["parent"], values["change"], better),
                 "pair_ratio": pair_ratio(values["parent"], values["change"]),
             }
             if bound is not None:
@@ -191,10 +218,12 @@ def _summarize(sides: dict, trace: int, metrics) -> dict:
     return workloads
 
 
-def fold(parent, change, benchmark: dict, tier1: dict | None = None) -> dict:
+def fold(parent, change, benchmark: dict, tier1: dict | None = None,
+         claim: str | None = None) -> dict:
     """The record of paired runs: ``parent`` and ``change`` are lists of
     (name, record); ``benchmark`` is the parsed ``BENCHMARK.json``;
-    ``tier1``, if given, maps each side to its ``read_tier1`` summary."""
+    ``tier1``, if given, maps each side to its ``read_tier1`` summary;
+    ``claim``, if given, is the ``WORKLOAD/METRIC`` whose gain to check."""
     if not parent or not change:
         raise ValueError("both sides need at least one record")
     _check_clean(parent + change)
@@ -220,6 +249,15 @@ def fold(parent, change, benchmark: dict, tier1: dict | None = None) -> dict:
         doc[section] = _summarize(sides, trace, metrics)
     if tier1 is not None:
         doc["tier1"] = {side: tier1[side] for side in SIDES}
+    if claim is not None:
+        workload, _, metric = claim.partition("/")
+        entry = doc.get("workloads", {}).get(workload, {}).get("metrics", {}).get(metric)
+        if entry is None:
+            raise ValueError(f"claim {claim!r} names no workload/metric of the runs "
+                             "with tracing off")
+        doc["claim"] = {"workload": workload, "metric": metric,
+                        **claim_check(entry["parent"]["runs"], entry["change"]["runs"],
+                                      entry["better"])}
     return doc
 
 
@@ -249,6 +287,8 @@ def main(argv=None) -> int:
     for side in SIDES:
         parser.add_argument(f"--{side}-tier1",
                             help=f"saved output of one pytest run of the {side}'s test suite")
+    parser.add_argument("--claim", metavar="WORKLOAD/METRIC",
+                        help="check a claimed gain on this metric (see the module docstring)")
     args = parser.parse_args(argv)
     try:
         logs = {side: getattr(args, f"{side}_tier1") for side in SIDES}
@@ -263,7 +303,7 @@ def main(argv=None) -> int:
                 except ValueError as err:
                     raise ValueError(f"{log}: {err}") from None
         doc = fold(load_records(args.parent), load_records(args.change),
-                   json.loads(Path(args.benchmark).read_text()), tier1)
+                   json.loads(Path(args.benchmark).read_text()), tier1, args.claim)
     except ValueError as err:
         print(f"bench_record: {err}", file=sys.stderr)
         return 2
