@@ -78,6 +78,10 @@ class TestExhaustiveRank:
         fits = [f for _, f in ranked]
         assert fits == sorted(fits, reverse=True)
 
+    def test_empty_genomes_refused(self):
+        with pytest.raises(ValueError, match="genome length must be >= 1"):
+            exhaustive_rank(SPACE_27, 0, SurrogateFitness((1,)))
+
     def test_oversized_space_refused_with_estimate(self):
         space = build_space(2, 10, 1024)  # 11 candidates
         with pytest.raises(ValueError, match="11\\^8"):
