@@ -127,10 +127,9 @@ def mutate(g: DilationGenome, space: SearchSpace, p_m: float, p_s: float,
            rng: np.random.Generator) -> DilationGenome:
     """With probability p_m, resample each gene with probability p_s,
     uniformly from the candidate set (possibly redrawing the current value)."""
-    if not 0.0 <= p_m <= 1.0 >= p_s >= 0.0:  # both in [0, 1]; False for NaN
-        for name, p in (("p_m", p_m), ("p_s", p_s)):
-            if not (0.0 <= p <= 1.0):
-                raise ValueError(f"{name} must lie in [0, 1]")
+    for name, p in (("p_m", p_m), ("p_s", p_s)):
+        if not (0.0 <= p <= 1.0):
+            raise ValueError(f"{name} must lie in [0, 1]")
     if rng.random() >= p_m:
         return g
     cands = space.candidates

@@ -18,25 +18,20 @@ __all__ = ["derive_seed", "derive_rng"]
 
 def derive_seed(master_seed: int, *tags: int | str) -> int:
     """Return a 64-bit seed for the sub-stream named by ``tags``."""
-    ints = [int(master_seed),
-            *[zlib.crc32(t.encode("utf-8")) if isinstance(t, str) else int(t) for t in tags]]
-    if min(ints) < 0:
-        bad = next(n for n in ints if n < 0)
-        raise ValueError(f"seeds and tags must be non-negative, got {bad}")
     # SeedSequence reads a list of ints as each int's little-endian 32-bit
     # words, concatenated; handing it those words as one uint32 array gives
-    # the same state without an array per int.  Ints below 2**32 are their
-    # own single word.
-    if max(ints) > 0xFFFFFFFF:
-        words = []
-        for n in ints:
+    # the same state without an array per int
+    words = []
+    for n in (int(master_seed), *tags):
+        n = zlib.crc32(n.encode("utf-8")) if isinstance(n, str) else int(n)
+        if n < 0:
+            raise ValueError(f"seeds and tags must be non-negative, got {n}")
+        words.append(n & 0xFFFFFFFF)
+        n >>= 32
+        while n:
             words.append(n & 0xFFFFFFFF)
             n >>= 32
-            while n:
-                words.append(n & 0xFFFFFFFF)
-                n >>= 32
-        ints = words
-    entropy = np.array(ints, dtype=np.uint32)
+    entropy = np.array(words, dtype=np.uint32)
     lo, hi = np.random.SeedSequence(entropy).generate_state(2, dtype=np.uint32).tolist()
     return lo | (hi << 32)
 
