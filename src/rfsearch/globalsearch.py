@@ -176,9 +176,7 @@ class _Logs:
         self.dir.mkdir(parents=True, exist_ok=True)
         self.kernel_sizes = kernel_sizes
         self._pop_file = open(self.dir / "population_log.csv", "w", newline="")
-        csv.writer(self._pop_file).writerow(
-            ["generation", "candidate_id", "genome", "fitness", "epochs", "seed", "wall_time_s"]
-        )
+        self._pop_file.write("generation,candidate_id,genome,fitness,epochs,seed,wall_time_s\r\n")
         self._traj_file = open(self.dir / "trajectory.csv", "w", newline="")
         self._traj = csv.writer(self._traj_file)
         self._traj.writerow(["budget", "running_best_fitness", "seed", "method"])
