@@ -57,12 +57,6 @@ class TestDeriveSeed:
         with pytest.raises(ValueError):
             derive_seed(*args)
 
-    @pytest.mark.parametrize("args, bad", [((-5, 2**40), -5), ((2**40, "eval", 1, -3, -4), -3),
-                                           ((1, 2**64, -(2**33)), -(2**33))])
-    def test_negative_message_names_the_first_negative(self, args, bad):
-        with pytest.raises(ValueError, match=rf"non-negative, got {bad}$"):
-            derive_seed(*args)
-
     def test_rng_is_seeded_with_the_derived_seed(self):
         a = derive_rng(4, "ga-evolve").random(3)
         b = np.random.default_rng(derive_seed(4, "ga-evolve")).random(3)
