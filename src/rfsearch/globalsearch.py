@@ -141,9 +141,13 @@ def mutate(g: DilationGenome, space: SearchSpace, p_m: float, p_s: float,
     return DilationGenome._checked(tuple(genes))
 
 
+_EVAL_TAGS = ("eval",)
+
+
 def derive_eval_seed(master_seed: int, genome: DilationGenome) -> int:
-    """Evaluation seed from genome content, so duplicates share one record."""
-    return seeding.derive_seed(master_seed, "eval", *genome.dilations)
+    """Evaluation seed from genome content, so duplicates share one record.
+    ``run_global_search`` derives a generation's seeds in one batch."""
+    return seeding.derive_seed(master_seed, *_EVAL_TAGS, *genome.dilations)
 
 
 def evaluate(genome: DilationGenome, trainer, epochs: int, seed: int) -> EvalRecord:
@@ -268,7 +272,8 @@ def run_global_search(
 
     def eval_batch(genomes):
         missing = {g.dilations: g for g in genomes if g.dilations not in cache}
-        seeds = [derive_eval_seed(seed, g) for g in missing.values()]
+        # derive_eval_seed of each missing genome (keyed by its genes), in one pass
+        seeds = seeding.derive_seeds(seed, _EVAL_TAGS, missing)
         args = (missing.values(), itertools.repeat(trainer), itertools.repeat(cfg.epochs), seeds)
         # ``evaluate`` is looked up at call time: a set-up probe replaces it
         if pool_executor is not None and len(missing) > 1:

@@ -296,7 +296,7 @@ class Trainer:
     def train_structure(self, structure, epochs: int, seed: int):
         """Retrain a finalized structure from scratch; branch sets stay frozen,
         coefficients (when present) remain learnable."""
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        rng = np.random.default_rng(seed)
         net = self.build_structure_net(structure, rng)
         train_loss = self._train_net(net, epochs, rng)
         fitness, metrics = self._evaluate_net(net)

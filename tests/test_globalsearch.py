@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfsearch import globalsearch
-from rfsearch.genome import DilationGenome, EvalRecord, build_space, format_genome_string
+from rfsearch.genome import (
+    DilationGenome,
+    EvalRecord,
+    build_space,
+    format_genome_string,
+    parse_genome_string,
+)
 from rfsearch.globalsearch import (
     GlobalConfig,
     crossover_segments,
@@ -265,6 +271,22 @@ class TestRunGlobalSearch:
         c = derive_eval_seed(1, DilationGenome((1, 2)))
         assert a != b and a != c
         assert a == derive_eval_seed(0, DilationGenome((1, 2)))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_every_seed_is_the_genome_s_eval_seed(self, tmp_path, jobs):
+        # the batch derivation of a generation's seeds against the one-genome form
+        cfg = _config(SPACE_3, 5, iterations=6, population=7, p_m=0.8, p_s=0.3)
+        members, _ = run_global_search(
+            cfg, SurrogateFitness((4, 1, 2, 2, 1)).as_trainer(), 13, jobs=jobs, log_dir=tmp_path
+        )
+        assert all(r.seed == derive_eval_seed(13, r.genome) for r in members)
+        with open(tmp_path / "population_log.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 7 * 7
+        assert len({r["genome"] for r in rows}) > 7
+        for row in rows:
+            genome = parse_genome_string(row["genome"])
+            assert int(row["seed"]) == derive_eval_seed(13, genome)
 
     def test_finds_optimum_on_small_space(self):
         # light version of the acceptance run: 20 seeds on the 27-genome space
